@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from .polygon import Dissection, empty_faces, is_diagonally_framed, is_noncrossing
-from .poset import IntervalPoset
+from .poset import IntervalPoset, _trivial_intervals
 
 
 def phi(P: IntervalPoset) -> Dissection:
@@ -45,9 +45,7 @@ def phi_inverse(D: Dissection) -> IntervalPoset:
     [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
     """
     n = D.m - 1
-    intervals = {(i, i) for i in range(1, n + 1)}
-    intervals.add((1, n))
-    intervals.update((u, v - 1) for u, v in D.diagonals)
+    intervals = _trivial_intervals(n) | {(u, v - 1) for u, v in D.diagonals}
     return IntervalPoset(n, frozenset(intervals))
 
 

@@ -21,13 +21,15 @@ import json
 import multiprocessing
 import os
 import time
-from collections import Counter
 from typing import IO, Iterable
 
+from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 from .bijection import classify_image
-from .perm import Permutation, _iter_blocks, _tuple_has_sum_interval
+from .perm import Permutation, _intervals_of_entries, _tuple_has_sum_interval
 from .polygon import DissectionClass, CapExceeded, enumerate_dissections
-from .poset import IntervalPoset, _closure_violation, _family_children, key_of_family
+from .poset import (IntervalPoset, _closure_violation, _is_laminar,
+                    _three_descendant_violation, _trivial_intervals,
+                    key_of_family)
 
 
 class Family(enum.Enum):
@@ -60,10 +62,6 @@ REALIZE_CAP = 8
 IDENTITY_CAP = 8
 
 
-def _family_of_entries(entries: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    return frozenset((lo, hi) for _i, _j, lo, hi in _iter_blocks(entries))
-
-
 def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
     """One representative permutation per canonical key, over the
     permutations of 1..n starting with a fixed first entry."""
@@ -81,18 +79,10 @@ def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
                 continue
             if _tuple_has_sum_interval(entries, 2):
                 continue
-        key = key_of_family(n, _family_of_entries(entries))
+        key = key_of_family(n, _intervals_of_entries(entries))
         if key not in reps:
             reps[key] = entries
     return reps
-
-
-def _family_is_tree(n: int, intervals: frozenset[tuple[int, int]]) -> bool:
-    parents: Counter = Counter()
-    for v in intervals:
-        parents.update(_family_children(intervals, v))
-    root = (1, n)
-    return all(parents[v] == 1 for v in intervals if v != root)
 
 
 def poset_census(n: int, family: Family, *, cap: int | None = None,
@@ -123,7 +113,7 @@ def poset_census(n: int, family: Family, *, cap: int | None = None,
             reps.setdefault(key, entries)
     if family is Family.TREE:
         reps = {key: entries for key, entries in reps.items()
-                if _family_is_tree(n, _family_of_entries(entries))}
+                if _is_laminar(_intervals_of_entries(entries))}
     return reps
 
 
@@ -256,8 +246,7 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the realization cap {cap}")
     fam = frozenset(intervals)
-    required = {(i, i) for i in range(1, n + 1)} | {(1, n)}
-    if not required <= fam:
+    if not _trivial_intervals(n) <= fam:
         return None
     if any(not (1 <= lo <= hi <= n) for lo, hi in fam):
         return None
@@ -347,7 +336,6 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
         raise ValueError("order must be at least 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the identity-check cap {cap}")
-    root = (1, n)
     simple_keys: set[str] = set()
     fails: dict[str, str | None] = {"simple-share-poset": None,
                                     "overlap-closure": None,
@@ -360,20 +348,12 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
             fails[check] = str(Permutation(entries))
 
     for entries in itertools.permutations(range(1, n + 1)):
-        fam = _family_of_entries(entries)
+        fam = _intervals_of_entries(entries)
         key = key_of_family(n, fam)
         info = per_key.get(key)
         if info is None:
-            parents: Counter = Counter()
-            three_ok = True
-            for v in fam:
-                kids = _family_children(fam, v)
-                if len(kids) == 3:
-                    three_ok = False
-                parents.update(kids)
-            tree = all(parents[v] == 1 for v in fam if v != root)
-            closure_ok = _closure_violation(fam, n) is None
-            info = (tree, closure_ok, three_ok)
+            info = (_is_laminar(fam), _closure_violation(fam, n) is None,
+                    _three_descendant_violation(fam) is None)
             per_key[key] = info
         tree, closure_ok, three_ok = info
         if not closure_ok:
@@ -423,42 +403,22 @@ def check_images(n: int, family: Family, *, cap: int | None = None,
         return IdentityCheck(name, True)
     for key in sorted(reps):
         entries = reps[key]
-        P = IntervalPoset(n, _family_of_entries(entries))
+        P = IntervalPoset(n, _intervals_of_entries(entries))
         if not predicate(classify_image(P)):
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)
 
 
-class MalformedLine(ValueError):
-    """A b-file line that is neither blank, a comment, nor 'index value'."""
-
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"line {line_no}: cannot parse {line!r}")
-        self.line_no = line_no
-        self.line = line
-
-
 def load_bfile(source: str | IO[str]) -> list[tuple[int, int]]:
     """Parse OEIS b-file text: 'index value' lines, '#' comments and blank
-    lines ignored; line numbers in errors count every physical line.
+    lines ignored.  A repeated index is a ``MalformedLine`` naming the later
+    line; line numbers in errors count every physical line.
 
     >>> load_bfile("# c\\n5 10\\n")
     [(5, 10)]
     """
     text = source.read() if hasattr(source, "read") else source
-    pairs = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(line_no, raw)
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise MalformedLine(line_no, raw) from None
-    return pairs
+    return read_pairs(text, distinct_first=True)[1]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Subcommands: intervals, poset, classify, phi, inverse, realize, census,
 verify, render.  Exit codes: 0 success / all checks match, 1 usage or input
-error, 2 verification mismatch, 3 enumeration cap exceeded.  Diagnostics go
-to standard error; all payload output is deterministic for fixed inputs.
+error (including a census or verify run that would compare nothing), 2
+verification mismatch, 3 enumeration cap exceeded.  Diagnostics go to
+standard error; all payload output is deterministic for fixed inputs.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from ._lines import read_pairs
 from .bijection import phi, phi_inverse
 from .census import (Family, IdentityCheck, REALIZE_CAP, check_identities,
                      check_images, compare_with_bfile, load_bfile, realize,
@@ -103,28 +105,11 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
-def _parse_interval_lines(text: str, n: int) -> set[tuple[int, int]]:
-    """Interval family from 'lo hi' lines; an optional leading 'n <k>'
-    header must agree with the requested order."""
-    intervals: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n "):
-            if int(line[2:]) != n:
-                raise ValueError(f"line {line_no}: header order {line[2:]} "
-                                 f"does not match --n {n}")
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected 'lo hi', got {raw!r}")
-        intervals.add((int(parts[0]), int(parts[1])))
-    return intervals
-
-
 def _cmd_realize(args) -> int:
-    intervals = _parse_interval_lines(_read_text(args.intervals), args.n)
+    header, intervals = read_pairs(_read_text(args.intervals), "n")
+    if header is not None and header[1] != args.n:
+        raise ValueError(f"line {header[0]}: header order {header[1]} "
+                         f"does not match --n {args.n}")
     witness = realize(intervals, args.n, cap=args.cap)
     print(str(witness) if witness is not None else "none")
     return 0
@@ -132,18 +117,25 @@ def _cmd_realize(args) -> int:
 
 def _cmd_census(args) -> int:
     family = Family(args.clazz)
+    pairs = None if args.oeis is None else load_bfile(_read_text(args.oeis))
     report = run_census(family, args.max_n, min_n=args.min_n,
                         threads=args.threads)
-    sys.stdout.write(report.to_text())
-    if args.out is not None:
-        _write_text(args.out, report.to_json())
+    if not report.rows:
+        raise ValueError(f"no {family.value} order to compare "
+                         f"up to --max-n {args.max_n}")
+    texts = [report.to_text()]
     mismatch = not report.all_match()
-    if args.oeis is not None:
-        pairs = load_bfile(_read_text(args.oeis))
+    if pairs is not None:
         counts = {row.n: row.poset_count for row in report.rows}
         comparison = compare_with_bfile(counts, pairs, args.offset)
-        sys.stdout.write(comparison.to_text())
+        if all(row[3] is None for row in comparison.rows):
+            raise ValueError(f"no census order aligns with a b-file index "
+                             f"at --offset {args.offset}")
+        texts.append(comparison.to_text())
         mismatch = mismatch or not comparison.all_match()
+    sys.stdout.write("".join(texts))
+    if args.out is not None:
+        _write_text(args.out, report.to_json())
     return 2 if mismatch else 0
 
 
@@ -154,6 +146,8 @@ def _print_check(n: int, check: IdentityCheck) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 1:
+        raise ValueError("verify needs --max-n of at least 1 to check anything")
     all_pass = True
     for n in range(1, args.max_n + 1):
         for check in check_identities(n, cap=args.max_n):

@@ -121,7 +121,12 @@ def all_intervals(p: Permutation) -> frozenset[tuple[int, int]]:
     >>> sorted(all_intervals(Permutation((2, 4, 1, 3))))
     [(1, 1), (1, 4), (2, 2), (3, 3), (4, 4)]
     """
-    return frozenset((lo, hi) for _, _, lo, hi in _iter_blocks(p.entries))
+    return _intervals_of_entries(p.entries)
+
+
+def _intervals_of_entries(entries: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """``all_intervals`` of a raw value tuple."""
+    return frozenset((lo, hi) for _, _, lo, hi in _iter_blocks(entries))
 
 
 def interval_windows(p: Permutation) -> dict[tuple[int, int], tuple[int, int]]:
@@ -133,21 +138,6 @@ def interval_windows(p: Permutation) -> dict[tuple[int, int], tuple[int, int]]:
     return {(lo, hi): (i + 1, j + 1) for i, j, lo, hi in _iter_blocks(p.entries)}
 
 
-def _has_proper_block(entries: Sequence[int]) -> bool:
-    n = len(entries)
-    for i in range(n):
-        lo = hi = entries[i]
-        for j in range(i + 1, n):
-            v = entries[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if hi - lo == j - i and j - i + 1 < n:
-                return True
-    return False
-
-
 def is_simple(p: Permutation) -> bool:
     """True iff p has no proper interval.
 
@@ -156,7 +146,8 @@ def is_simple(p: Permutation) -> bool:
     >>> is_simple(Permutation((1, 2, 3)))
     False
     """
-    return not _has_proper_block(p.entries)
+    n = p.n
+    return not any(0 < j - i < n - 1 for i, j, _, _ in _iter_blocks(p.entries))
 
 
 def _blocks_by_start(entries: Sequence[int]) -> list[list[tuple[int, int, int]]]:

@@ -24,6 +24,8 @@ import enum
 import itertools
 from typing import Iterator
 
+from ._lines import read_pairs
+
 FRAMED_CAP = 9
 NONCROSSING_CAP = 11
 
@@ -404,21 +406,7 @@ def write_dissection_text(D: Dissection) -> str:
 
 
 def parse_dissection_text(text: str) -> Dissection:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("m "):
-        raise ValueError("dissection text must start with a header line 'm <m>'")
-    try:
-        m = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad header line {lines[0]!r}") from None
-    diagonals = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad diagonal line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad diagonal line {ln!r}") from None
-        diagonals.add((u, v))
-    return Dissection(m, frozenset(diagonals))
+    """Inverse of ``write_dissection_text``; blank lines and '#' comments
+    are ignored, and the header must be the first data line."""
+    (_, m), pairs = read_pairs(text, "m", header_required=True)
+    return Dissection(m, frozenset(pairs))

@@ -9,9 +9,9 @@ minimum, which fixes the plane embedding used by the renderer.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from typing import Iterable
 
+from ._lines import read_pairs
 from .perm import Permutation, all_intervals
 
 
@@ -37,8 +37,7 @@ class IntervalPoset:
         for lo, hi in self.intervals:
             if not (1 <= lo <= hi <= n):
                 raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
-        missing = {(i, i) for i in range(1, n + 1)} | {(1, n)}
-        if not missing <= self.intervals:
+        if not _trivial_intervals(n) <= self.intervals:
             raise ValueError("trivial intervals must all be present")
 
     def __contains__(self, v: tuple[int, int]) -> bool:
@@ -60,8 +59,47 @@ def poset_of(p: Permutation) -> IntervalPoset:
     return IntervalPoset(p.n, all_intervals(p))
 
 
-def _contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
+def _trivial_intervals(n: int) -> set[tuple[int, int]]:
+    """The n singletons and (1, n), present in every interval poset."""
+    return {(i, i) for i in range(1, n + 1)} | {(1, n)}
+
+
+def _family_children(intervals, v: tuple[int, int]) -> list[tuple[int, int]]:
+    """Maximal members of the family strictly inside v, by ascending minimum.
+
+    Sorted by (lo, -hi), a member lies inside another exactly when some
+    earlier member reaches at least as far right.
+    """
+    lo, hi = v
+    below = sorted((w for w in intervals
+                    if lo <= w[0] and w[1] <= hi and w != v),
+                   key=lambda w: (w[0], -w[1]))
+    children = []
+    reach = lo - 1
+    for w in below:
+        if w[1] > reach:
+            children.append(w)
+            reach = w[1]
+    return children
+
+
+def _is_laminar(intervals) -> bool:
+    """True iff no two members properly overlap (a < c <= b < d).
+
+    For a family holding the trivial intervals this is exactly "the Hasse
+    diagram is a tree": under [a, b] -> {a, b+1} proper overlaps are chord
+    crossings, and the supersets of an element form a chain exactly when
+    none of them overlap.  One pass in (lo, -hi) order keeps the members
+    still open at the current minimum on a stack, innermost on top.
+    """
+    open_his: list[int] = []
+    for lo, hi in sorted(intervals, key=lambda w: (w[0], -w[1])):
+        while open_his and open_his[-1] < lo:
+            open_his.pop()
+        if open_his and open_his[-1] < hi:
+            return False
+        open_his.append(hi)
+    return True
 
 
 def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]]:
@@ -72,21 +110,14 @@ def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]
     """
     if v not in P.intervals:
         raise ElementNotInPoset(v)
-    below = [w for w in P.intervals if w != v and _contains(v, w)]
-    children = [w for w in below
-                if not any(x != w and _contains(x, w) for x in below)]
-    children.sort(key=lambda iv: iv[0])
-    return children
+    return _family_children(P.intervals, v)
 
 
 def hasse_edges(P: IntervalPoset) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All cover pairs (parent, child), parents in (lo, hi) order and
     children in ascending-minimum order under each parent."""
-    edges = []
-    for v in P.sorted_elements():
-        for c in hasse_children(P, v):
-            edges.append((v, c))
-    return edges
+    return [(v, c) for v in P.sorted_elements()
+            for c in _family_children(P.intervals, v)]
 
 
 def is_tree(P: IntervalPoset) -> bool:
@@ -99,9 +130,7 @@ def is_tree(P: IntervalPoset) -> bool:
     >>> is_tree(poset_of(parse_permutation("5123647")))
     False
     """
-    root = (1, P.n)
-    parents = Counter(child for _, child in hasse_edges(P))
-    return all(parents[v] == 1 for v in P.intervals if v != root)
+    return _is_laminar(P.intervals)
 
 
 def children_histogram(P: IntervalPoset) -> dict[int, int]:
@@ -111,8 +140,8 @@ def children_histogram(P: IntervalPoset) -> dict[int, int]:
     >>> children_histogram(poset_of(Permutation((2, 4, 1, 3))))
     {0: 4, 4: 1}
     """
-    counts = Counter(len(hasse_children(P, v)) for v in P.intervals)
-    return dict(sorted(counts.items()))
+    sizes = [len(_family_children(P.intervals, v)) for v in P.intervals]
+    return {k: sizes.count(k) for k in sorted(set(sizes))}
 
 
 def canonical_key(P: IntervalPoset) -> str:
@@ -121,8 +150,7 @@ def canonical_key(P: IntervalPoset) -> str:
     >>> canonical_key(poset_of(Permutation((2, 4, 1, 3))))
     '4|1-1,1-4,2-2,3-3,4-4'
     """
-    body = ",".join(f"{lo}-{hi}" for lo, hi in P.sorted_elements())
-    return f"{P.n}|{body}"
+    return key_of_family(P.n, P.intervals)
 
 
 def key_of_family(n: int, intervals: Iterable[tuple[int, int]]) -> str:
@@ -163,17 +191,11 @@ def _closure_violation(intervals, n):
     return None
 
 
-def _family_children(intervals, v):
-    below = [w for w in intervals if w != v and _contains(v, w)]
-    return [w for w in below
-            if not any(x != w and _contains(x, w) for x in below)]
-
-
 def _three_descendant_violation(intervals):
     for v in sorted(intervals):
         kids = _family_children(intervals, v)
         if len(kids) == 3:
-            return (v, tuple(sorted(kids, key=lambda iv: iv[0])))
+            return (v, tuple(kids))
     return None
 
 
@@ -188,8 +210,7 @@ def validate_interval_family(intervals: Iterable[tuple[int, int]],
     (census ``realize``).
     """
     fam = frozenset(intervals)
-    required = {(i, i) for i in range(1, n + 1)} | {(1, n)}
-    missing = sorted(required - fam)
+    missing = sorted(_trivial_intervals(n) - fam)
     if missing:
         return FamilyVerdict(False, "trivial-intervals", tuple(missing))
     bad = _closure_violation(fam, n)
@@ -217,22 +238,7 @@ def write_poset_text(P: IntervalPoset) -> str:
 
 
 def parse_poset_text(text: str) -> IntervalPoset:
-    """Inverse of ``write_poset_text``; blank lines are ignored."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise ValueError("poset text must start with a header line 'n <n>'")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad header line {lines[0]!r}") from None
-    intervals = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad interval line {ln!r}")
-        try:
-            lo, hi = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad interval line {ln!r}") from None
-        intervals.add((lo, hi))
-    return IntervalPoset(n, frozenset(intervals))
+    """Inverse of ``write_poset_text``; blank lines and '#' comments are
+    ignored, and the header must be the first data line."""
+    (_, n), pairs = read_pairs(text, "n", header_required=True)
+    return IntervalPoset(n, frozenset(pairs))

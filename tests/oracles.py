@@ -5,12 +5,14 @@ the implementation under test: intervals by scanning value ranges instead
 of position windows, sum intervals by explicit window splitting, face
 emptiness by geometric segment-vs-hull tests on the unit circle, class
 enumeration by naive filtration of every diagonal subset, and realization
-by scanning entire symmetric groups.
+by scanning entire symmetric groups, and tree posets by counting Hasse
+parents instead of testing laminarity.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from polyposet.polygon import Dissection, DissectionClass, all_diagonals, \
     satisfies_class
@@ -60,6 +62,26 @@ def oracle_realizers(family, n: int) -> list[tuple[int, ...]]:
     fam = set(family)
     return [p for p in itertools.permutations(range(1, n + 1))
             if oracle_intervals(p) == fam]
+
+
+def _inside(outer, inner) -> bool:
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+def oracle_children(family, v) -> list[tuple[int, int]]:
+    """Maximal members of the family strictly inside v, found by testing
+    every member against every other, in ascending-minimum order."""
+    below = [w for w in family if w != v and _inside(v, w)]
+    return sorted((w for w in below
+                   if not any(x != w and _inside(x, w) for x in below)),
+                  key=lambda iv: iv[0])
+
+
+def oracle_is_tree(family, n: int) -> bool:
+    """Tree test by counting Hasse parents: every member except (1, n) must
+    be a child of exactly one member."""
+    parents = Counter(c for v in family for c in oracle_children(family, v))
+    return all(parents[v] == 1 for v in family if v != (1, n))
 
 
 def _vertex_xy(m: int, i: int) -> tuple[float, float]:

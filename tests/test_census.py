@@ -78,9 +78,13 @@ def test_poset_caps():
     assert distinct_posets(9, Family.TREE, cap=9) == 4888
 
 
-def test_census_is_thread_count_invariant():
-    solo = poset_census(7, Family.ALL, threads=1)
-    pooled = poset_census(7, Family.ALL, threads=3)
+@pytest.mark.parametrize("family, n", [(Family.ALL, 7), (Family.TREE, 7),
+                                       (Family.BLOCKWISE_SIMPLE, 8)],
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_census_is_thread_count_invariant(family, n):
+    # every order here is above the serial cutoff, so threads=3 uses a pool
+    solo = poset_census(n, family, threads=1)
+    pooled = poset_census(n, family, threads=3)
     assert solo == pooled
 
 
@@ -236,6 +240,13 @@ def test_load_bfile_reports_physical_line_numbers():
         load_bfile("# comment\n1 2 3\n")
     assert err.value.line_no == 2
     assert err.value.line == "1 2 3"
+
+
+def test_load_bfile_rejects_repeated_index():
+    with pytest.raises(MalformedLine) as err:
+        load_bfile("1 1\n# again\n1 5\n")
+    assert err.value.line_no == 3
+    assert err.value.line == "1 5"
 
 
 def test_fixture_files_parse(fixtures_dir):

@@ -127,6 +127,18 @@ def test_realize_header_mismatch(tmp_path, capsys):
     assert run(["realize", "--n", "4", "--intervals", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text, line", [
+    ("n 4\n1 1\n2 x\n", "line 3: cannot parse '2 x'"),
+    ("# order\nn four\n1 1\n", "line 2: cannot parse 'n four'"),
+    ("1 1\n2 2\nn 4\n", "line 3: cannot parse 'n 4'"),
+], ids=["bad-entry", "bad-header", "header-after-data"])
+def test_realize_malformed_line_is_named(tmp_path, capsys, text, line):
+    path = tmp_path / "fam.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["realize", "--n", "4", "--intervals", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def test_realize_missing_file():
     assert run(["realize", "--n", "4", "--intervals", "/no/such/file"]) == 1
 
@@ -213,6 +225,28 @@ def test_census_reference_mismatch(tmp_path, capsys):
     assert "reference sequence: 1, 1, 99" in text
 
 
+def test_census_with_no_order_in_range_is_usage_error(capsys):
+    assert run(["census", "--max-n", "3", "--class", "blockwise"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no blockwise order" in captured.err
+
+
+def test_census_max_n_zero_is_usage_error(capsys):
+    assert run(["census", "--max-n", "0"]) == 1
+    assert out_of(capsys) == ""
+
+
+def test_census_with_no_aligned_reference_term_is_usage_error(
+        fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["census", "--max-n", "3",
+                "--oeis", str(fixtures_dir / "b348479.txt"),
+                "--offset", "100", "--out", str(out)]) == 1
+    assert "no census order aligns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_census_malformed_reference(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 one\n", encoding="utf-8")
@@ -233,6 +267,11 @@ def test_verify(capsys):
     assert "FAIL" not in text
     # 4 identity checks + 3 image checks per order
     assert len(text.splitlines()) == 21
+
+
+def test_verify_max_n_zero_is_usage_error(capsys):
+    assert run(["verify", "--max-n", "0"]) == 1
+    assert out_of(capsys) == ""
 
 
 # ---------------------------------------------------------------------------

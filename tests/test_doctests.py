@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import polyposet._lines
 import polyposet.bijection
 import polyposet.census
 import polyposet.perm
@@ -12,6 +13,7 @@ import polyposet.poset
 import polyposet.render
 
 MODULES = [
+    polyposet._lines,
     polyposet.perm,
     polyposet.poset,
     polyposet.polygon,

@@ -178,3 +178,13 @@ def test_parse_dissection_text_rejects_garbage():
     for bad in ["", "5\n", "m x\n", "m 5\n1\n", "m 5\n1 two\n", "m 4\n1 2\n"]:
         with pytest.raises(ValueError):
             parse_dissection_text(bad)
+
+
+def test_parse_dissection_text_skips_comments_and_names_lines():
+    D = dis(8, (1, 3), (2, 4))
+    text = "# two chords\n\n" + write_dissection_text(D)
+    assert parse_dissection_text(text) == D
+    with pytest.raises(ValueError, match="^line 3: cannot parse '1 x'$"):
+        parse_dissection_text("m 8\n# chords\n1 x\n")
+    with pytest.raises(ValueError, match="^line 2: expected a header"):
+        parse_dissection_text("\n1 3\nm 8\n")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyposet.census import Family, poset_census
 from polyposet.perm import Permutation, all_intervals, is_simple, \
     parse_permutation
 from polyposet.poset import (ElementNotInPoset, IntervalPoset, canonical_key,
@@ -11,6 +12,8 @@ from polyposet.poset import (ElementNotInPoset, IntervalPoset, canonical_key,
                              hasse_children, hasse_edges, is_tree,
                              key_of_family, parse_poset_text, poset_of,
                              validate_interval_family, write_poset_text)
+
+from oracles import oracle_children, oracle_is_tree
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
@@ -152,6 +155,38 @@ def test_tree_means_unique_parents(p):
     assert is_tree(P) == expected
 
 
+def test_tree_test_matches_parent_count_on_every_family():
+    """Laminarity against the Hasse parent count on all 7,264 distinct
+    interval posets of orders 1..8."""
+    trees = []
+    for n in range(1, 9):
+        families = [all_intervals(Permutation(entries))
+                    for entries in poset_census(n, Family.ALL).values()]
+        for fam in families:
+            assert is_tree(IntervalPoset(n, fam)) == oracle_is_tree(fam, n), fam
+        trees.append(sum(oracle_is_tree(fam, n) for fam in families))
+    assert trees == [1, 1, 2, 6, 21, 78, 301, 1198]
+
+
+@st.composite
+def families_with_trivial_intervals(draw):
+    """The trivial intervals plus any proper ones; such a family need not
+    be closed under overlap, nor be the poset of any permutation."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+              if (a, b) != (1, n)]
+    extra = draw(st.frozensets(st.sampled_from(proper)))
+    trivial = {(i, i) for i in range(1, n + 1)} | {(1, n)}
+    return IntervalPoset(n, frozenset(trivial) | extra)
+
+
+@given(families_with_trivial_intervals())
+def test_tree_test_and_children_match_oracles_off_posets(P):
+    assert is_tree(P) == oracle_is_tree(P.intervals, P.n)
+    for v in P.intervals:
+        assert hasse_children(P, v) == oracle_children(P.intervals, v)
+
+
 @given(perms)
 def test_simple_posets_are_trivial_families(p):
     P = poset_of(p)
@@ -180,4 +215,14 @@ def test_poset_text_roundtrip():
 def test_parse_poset_text_rejects_garbage():
     for bad in ["", "3\n1 1\n", "n 3\n1\n", "n 3\n1 x\n"]:
         with pytest.raises(ValueError):
+            parse_poset_text(bad)
+
+
+def test_parse_poset_text_skips_comments_and_names_lines():
+    P = poset_of(parse_permutation("2413"))
+    text = "# the simple poset of order 4\n" + write_poset_text(P) + "# end\n"
+    assert parse_poset_text(text) == P
+    for bad, line_no in [("# order\nn 4\n1 1\n\nn 4\n", 5),
+                         ("# order\n1 1\nn 4\n", 2), ("\n\n", 3)]:
+        with pytest.raises(ValueError, match=f"^line {line_no}: "):
             parse_poset_text(bad)
