@@ -6,8 +6,12 @@ realizes interval families as permutations by pruned search, runs the
 structural identity checks, and cross-checks counts against locally stored
 OEIS b-files.
 
-Scans deduplicate by canonical key before any poset-level predicate runs, so
-the expensive structural work happens once per distinct poset rather than
+Poset scans are one prefix DFS over S_n that grows each prefix's interval
+set incrementally, checking only the windows that end at the newest
+position.  The block-wise family prunes a prefix as soon as it holds a sum
+of two blocks, so no rejected permutation is ever completed.  Leaves
+deduplicate by an exact family bitmask before any poset-level predicate
+runs, so the structural work happens once per distinct poset rather than
 once per permutation.  The permutation space splits by first entry for
 parallel runs; merging key sets is order-independent, so results do not
 depend on the worker count.
@@ -26,7 +30,8 @@ from typing import IO, Iterable
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 from .bijection import classify_image
 from .perm import Permutation, _intervals_of_entries, _tuple_has_sum_interval
-from .polygon import DissectionClass, CapExceeded, enumerate_dissections
+from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
+                      enumerate_dissections)
 from .poset import (IntervalPoset, _closure_violation, _is_laminar,
                     _three_descendant_violation, _trivial_intervals,
                     key_of_family)
@@ -64,25 +69,80 @@ IDENTITY_CAP = 8
 
 def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
     """One representative permutation per canonical key, over the
-    permutations of 1..n starting with a fixed first entry."""
+    permutations of 1..n starting with a fixed first entry.
+
+    A prefix DFS places values left to right in increasing order, so leaves
+    arrive in lexicographic order and each family keeps its smallest
+    permutation.  Placing a value at position k completes exactly the
+    windows [i..k]; one backward pass with a running min and max finds the
+    blocks among them and ORs bit ``lo * (n + 1) + hi`` of each into the
+    prefix's family mask, which at a leaf is exact.  Whether a window is a
+    block depends on its entries alone, so a sum of two blocks found in a
+    prefix is permanent: the block-wise family rejects the prefix as soon
+    as a new block [i..k] sits next to a block ending at i - 1 with a
+    stacked value range.
+    """
     n, first, family_value = args
     blockwise = Family(family_value) is Family.BLOCKWISE_SIMPLE
-    reps: dict[str, tuple[int, ...]] = {}
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        entries = (first, *tail)
-        if blockwise:
-            # adjacent entries with consecutive values form a two-block sum
-            # already; rejecting them first skips the full check for the
-            # overwhelming majority of permutations
-            if any(a - b in (1, -1) for a, b in zip(entries, entries[1:])):
+    width = n + 1
+    entries = [0] * n
+    used = [False] * (n + 1)
+    # value bitmasks of the his and los of the blocks ending at each position
+    his = [0] * n
+    los = [0] * n
+    found: dict[int, tuple[int, ...]] = {}
+
+    def extend(k: int, mask: int):
+        if k == n:
+            if mask not in found:
+                found[mask] = tuple(entries)
+            return
+        # a singleton stacked on a block ending at k - 1 (with the adjacent
+        # +-1 pair as its smallest case) is rejected before any window scan
+        stacked = (his[k - 1] << 1) | (los[k - 1] >> 1) if blockwise else 0
+        for v in range(1, n + 1):
+            if used[v] or stacked >> v & 1:
                 continue
-            if _tuple_has_sum_interval(entries, 2):
-                continue
-        key = key_of_family(n, _intervals_of_entries(entries))
-        if key not in reps:
-            reps[key] = entries
-    return reps
+            lo = hi = v
+            grown = mask | 1 << (v * width + v)
+            hi_bits = lo_bits = 1 << v
+            for i in range(k - 1, -1, -1):
+                e = entries[i]
+                if e < lo:
+                    lo = e
+                elif e > hi:
+                    hi = e
+                if hi - lo == k - i:
+                    if blockwise and i and (his[i - 1] >> (lo - 1) & 1
+                                            or los[i - 1] >> (hi + 1) & 1):
+                        break
+                    grown |= 1 << (lo * width + hi)
+                    hi_bits |= 1 << hi
+                    lo_bits |= 1 << lo
+            else:
+                entries[k] = v
+                his[k] = hi_bits
+                los[k] = lo_bits
+                used[v] = True
+                extend(k + 1, grown)
+                used[v] = False
+
+    entries[0] = first
+    his[0] = los[0] = 1 << first
+    used[first] = True
+    extend(1, 1 << (first * width + first))
+    return {key_of_family(n, _family_of_mask(mask, width)): rep
+            for mask, rep in found.items()}
+
+
+def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
+    """The intervals whose bits ``lo * width + hi`` are set in the mask."""
+    family = []
+    while mask:
+        low = mask & -mask
+        family.append(divmod(low.bit_length() - 1, width))
+        mask ^= low
+    return family
 
 
 def poset_census(n: int, family: Family, *, cap: int | None = None,
@@ -90,8 +150,10 @@ def poset_census(n: int, family: Family, *, cap: int | None = None,
     """Canonical key -> one representative entry tuple, over all
     permutations of order n in the family.
 
-    The Tree filter is poset-level, so it runs once per distinct key; the
-    block-wise filter is applied per permutation inside the scan.
+    Representatives are lexicographically least and keys appear in the
+    order of their representatives.  The Tree filter is poset-level, so it
+    runs once per distinct key; the block-wise condition prunes prefixes
+    inside the scan, so permutations outside the family are never completed.
     """
     if cap is None:
         cap = DEFAULT_POSET_CAPS[family]
@@ -149,12 +211,16 @@ class CensusRow:
     dissection_count: int
     match: bool
     elapsed_ms: float
+    poset_ms: float
+    dissection_ms: float
 
     def as_dict(self) -> dict:
         return {"n": self.n, "class": self.clazz,
                 "poset_count": self.poset_count,
                 "dissection_count": self.dissection_count,
-                "match": self.match, "elapsed_ms": self.elapsed_ms}
+                "match": self.match, "elapsed_ms": self.elapsed_ms,
+                "poset_ms": self.poset_ms,
+                "dissection_ms": self.dissection_ms}
 
 
 @dataclasses.dataclass
@@ -188,16 +254,20 @@ def compare_counts(n: int, family: Family, *, threads: int | None = None,
     """Both sides of the pairing at m = n + 1, computed independently.
 
     The dissection side runs first: its cap check is immediate, so an
-    out-of-range request fails before the factorial scan starts.
+    out-of-range request fails before the factorial scan starts.  Each
+    side's time is reported on its own next to their sum.
     """
     start = time.perf_counter()
     dissection_count = count_dissections(n + 1, PAIRED_CLASS[family])
+    split = time.perf_counter()
     poset_count = distinct_posets(n, family, cap=poset_cap, threads=threads)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    end = time.perf_counter()
     return CensusRow(n=n, clazz=family.value, poset_count=poset_count,
                      dissection_count=dissection_count,
                      match=poset_count == dissection_count,
-                     elapsed_ms=round(elapsed_ms, 1))
+                     elapsed_ms=round((end - start) * 1000.0, 1),
+                     poset_ms=round((end - split) * 1000.0, 1),
+                     dissection_ms=round((split - start) * 1000.0, 1))
 
 
 def run_census(family: Family, max_n: int, *, min_n: int | None = None,
@@ -205,10 +275,13 @@ def run_census(family: Family, max_n: int, *, min_n: int | None = None,
                poset_cap: int | None = None) -> CensusReport:
     """Census rows for n = min_n..max_n; block-wise rows start at order 4
     unless asked otherwise.  The requested max_n also authorizes the poset
-    scan up to that order; polygon caps stay in force.
+    scan up to that order; polygon caps stay in force and are checked for
+    the largest polygon before any order is computed.
     """
     if min_n is None:
         min_n = BLOCKWISE_FIRST_ORDER if family is Family.BLOCKWISE_SIMPLE else 1
+    if min_n <= max_n:
+        check_dissection_cap(max_n + 1, PAIRED_CLASS[family])
     if poset_cap is None:
         poset_cap = max(max_n, DEFAULT_POSET_CAPS[family])
     report = CensusReport(conventions={
@@ -227,7 +300,8 @@ def run_census(family: Family, max_n: int, *, min_n: int | None = None,
 def realize(intervals: Iterable[tuple[int, int]], n: int,
             cap: int = REALIZE_CAP) -> Permutation | None:
     """Lexicographically smallest permutation of order n whose interval set
-    equals the given family, or None.
+    equals the given family, or None.  An interval outside 1..n is an input
+    error (``ValueError``), not an unrealizable family.
 
     Backtracking places values left to right.  Two prunes keep it sharp and
     exact: a value may be placed only if it belongs to every partially
@@ -246,12 +320,13 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the realization cap {cap}")
     fam = frozenset(intervals)
+    ivs = sorted(fam)
+    for lo, hi in ivs:
+        if not (1 <= lo <= hi <= n):
+            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
     if not _trivial_intervals(n) <= fam:
         return None
-    if any(not (1 <= lo <= hi <= n) for lo, hi in fam):
-        return None
 
-    ivs = sorted(fam)
     sizes = [hi - lo + 1 for lo, hi in ivs]
     members: list[list[int]] = [[] for _ in range(n + 1)]
     for idx, (lo, hi) in enumerate(ivs):

@@ -369,6 +369,23 @@ def _enumerate_framed_quadfree(m: int) -> list[frozenset[tuple[int, int]]]:
     return found
 
 
+def check_dissection_cap(m: int, clazz: DissectionClass,
+                         cap: int | None = None):
+    """Raise ``CapExceeded`` if ``enumerate_dissections`` would refuse the
+    m-gon in the class; the default cap depends on whether chords may
+    cross.
+
+    >>> check_dissection_cap(10, DissectionClass.FRAMED_QUAD_FREE)
+    Traceback (most recent call last):
+    ...
+    polyposet.polygon.CapExceeded: m=10 exceeds the cap 9 for framed-quad-free
+    """
+    if cap is None:
+        cap = NONCROSSING_CAP if _class_flags(clazz)[0] else FRAMED_CAP
+    if m > cap:
+        raise CapExceeded(f"m={m} exceeds the cap {cap} for {clazz.value}")
+
+
 def enumerate_dissections(m: int, clazz: DissectionClass,
                           cap: int | None = None) -> Iterator[Dissection]:
     """Every dissection of the m-gon in the class, each exactly once,
@@ -379,12 +396,9 @@ def enumerate_dissections(m: int, clazz: DissectionClass,
     [[(1, 3)], [(2, 4)], [(1, 3), (2, 4)]]
     """
     noncrossing, tri_free = _class_flags(clazz)
-    if cap is None:
-        cap = NONCROSSING_CAP if noncrossing else FRAMED_CAP
     if m < 2:
         raise ValueError("polygon needs m >= 2")
-    if m > cap:
-        raise CapExceeded(f"m={m} exceeds the cap {cap} for {clazz.value}")
+    check_dissection_cap(m, clazz, cap)
     if m <= 3:
         # no diagonals exist; the bare triangle is exempt from the tri-free
         # rule (the class is consulted from order 4 on)

@@ -5,8 +5,9 @@ the implementation under test: intervals by scanning value ranges instead
 of position windows, sum intervals by explicit window splitting, face
 emptiness by geometric segment-vs-hull tests on the unit circle, class
 enumeration by naive filtration of every diagonal subset, and realization
-by scanning entire symmetric groups, and tree posets by counting Hasse
-parents instead of testing laminarity.
+by scanning entire symmetric groups, tree posets by counting Hasse
+parents instead of testing laminarity, and the poset census by filtering
+whole permutations instead of pruning prefixes.
 """
 from __future__ import annotations
 
@@ -14,8 +15,11 @@ import itertools
 import math
 from collections import Counter
 
+from polyposet.census import Family
+from polyposet.perm import _intervals_of_entries, _tuple_has_sum_interval
 from polyposet.polygon import Dissection, DissectionClass, all_diagonals, \
     satisfies_class
+from polyposet.poset import _is_laminar, key_of_family
 
 EPS = 1e-9
 
@@ -82,6 +86,28 @@ def oracle_is_tree(family, n: int) -> bool:
     be a child of exactly one member."""
     parents = Counter(c for v in family for c in oracle_children(family, v))
     return all(parents[v] == 1 for v in family if v != (1, n))
+
+
+def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
+    """Canonical key -> lexicographically first permutation, in order of
+    first appearance, by filtering every permutation of S_n: block-wise
+    candidates must pass an adjacent-pair test and a whole-permutation
+    sum-of-two test, every survivor's interval set is keyed by string, and
+    tree keys are filtered after the scan.  This is the census scan before
+    prefix pruning."""
+    reps: dict[str, tuple[int, ...]] = {}
+    for entries in itertools.permutations(range(1, n + 1)):
+        if family is Family.BLOCKWISE_SIMPLE:
+            if any(a - b in (1, -1) for a, b in zip(entries, entries[1:])):
+                continue
+            if _tuple_has_sum_interval(entries, 2):
+                continue
+        reps.setdefault(key_of_family(n, _intervals_of_entries(entries)),
+                        entries)
+    if family is Family.TREE:
+        reps = {key: entries for key, entries in reps.items()
+                if _is_laminar(_intervals_of_entries(entries))}
+    return reps
 
 
 def _vertex_xy(m: int, i: int) -> tuple[float, float]:

@@ -27,7 +27,9 @@ from polyposet import (
     run_census,
 )
 
-from oracles import oracle_realizers
+import polyposet.census as census
+from oracles import oracle_has_sum_interval, oracle_poset_census, \
+    oracle_realizers
 
 
 FAN_FAMILY = frozenset(
@@ -88,6 +90,23 @@ def test_census_is_thread_count_invariant(family, n):
     assert solo == pooled
 
 
+@pytest.mark.parametrize("family, max_n", [(Family.ALL, 8), (Family.TREE, 8),
+                                           (Family.BLOCKWISE_SIMPLE, 9)],
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_prefix_scan_matches_whole_permutation_scan(family, max_n):
+    # same keys, same representatives, same insertion order
+    for n in range(1, max_n + 1):
+        assert list(poset_census(n, family, threads=1).items()) \
+            == list(oracle_poset_census(n, family).items()), n
+
+
+def test_blockwise_representatives_have_no_sum_of_two():
+    for n in range(1, 10):
+        for entries in poset_census(n, Family.BLOCKWISE_SIMPLE,
+                                    threads=1).values():
+            assert not oracle_has_sum_interval(entries, 2), entries
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -122,9 +141,26 @@ def test_report_json_schema():
     assert set(payload) == {"rows", "conventions"}
     for row in payload["rows"]:
         assert set(row) == {"n", "class", "poset_count",
-                            "dissection_count", "match", "elapsed_ms"}
+                            "dissection_count", "match", "elapsed_ms",
+                            "poset_ms", "dissection_ms"}
         assert row["class"] == "tree"
+        assert row["poset_ms"] >= 0 and row["dissection_ms"] >= 0
+        # each side is rounded on its own
+        assert row["poset_ms"] + row["dissection_ms"] \
+            <= row["elapsed_ms"] + 0.2
     assert payload["conventions"]["blockwise_first_reported_order"] == 4
+
+
+def test_run_census_checks_polygon_cap_before_any_order(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the poset side ran before the cap check")
+
+    monkeypatch.setattr(census, "distinct_posets", no_scan)
+    monkeypatch.setattr(census, "count_dissections", no_scan)
+    with pytest.raises(CapExceeded, match="m=11 exceeds the cap 9"):
+        run_census(Family.ALL, 10)
+    with pytest.raises(CapExceeded, match="m=13 exceeds the cap 11"):
+        run_census(Family.BLOCKWISE_SIMPLE, 12)
 
 
 def test_report_text_layout():
@@ -155,6 +191,14 @@ def test_realize_rejects_non_closed_family():
 def test_realize_requires_trivial_intervals():
     assert realize(frozenset([(1, 2)]), 2) is None
     assert realize(frozenset([(1, 1), (2, 2)]), 2) is None
+
+
+def test_realize_rejects_out_of_range_interval():
+    fam = frozenset([(i, i) for i in range(1, 5)] + [(1, 4), (0, 9)])
+    with pytest.raises(ValueError, match=r"interval \(0, 9\) out of range"):
+        realize(fam, 4)
+    with pytest.raises(ValueError, match=r"interval \(3, 2\) out of range"):
+        realize({(1, 1), (2, 2), (1, 2), (3, 2)}, 2)
 
 
 def test_realize_cap():

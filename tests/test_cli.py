@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import polyposet.census as census
 from polyposet.cli import run
 
 
@@ -121,6 +122,15 @@ def test_realize_unrealizable_family(tmp_path, capsys):
     assert out_of(capsys) == "none\n"
 
 
+def test_realize_out_of_range_interval_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("1 1\n2 2\n3 3\n4 4\n1 4\n0 9\n"))
+    assert run(["realize", "--n", "4", "--intervals", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: interval (0, 9) out of range for n=4\n"
+
+
 def test_realize_header_mismatch(tmp_path, capsys):
     path = tmp_path / "fam.txt"
     path.write_text("n 5\n1 1\n", encoding="utf-8")
@@ -176,6 +186,17 @@ def test_census_mismatch_exit_code(capsys):
 
 def test_census_cap_exit_code(capsys):
     assert run(["census", "--max-n", "10", "--class", "all"]) == 3
+
+
+def test_census_cap_exits_before_any_scan(monkeypatch, capsys):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the poset side ran before the cap check")
+
+    monkeypatch.setattr(census, "distinct_posets", no_scan)
+    assert run(["census", "--max-n", "10", "--class", "all"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "m=11 exceeds the cap 9 for framed-quad-free" in err
 
 
 def test_census_json_out(tmp_path, capsys):
