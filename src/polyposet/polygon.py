@@ -7,20 +7,28 @@ between diagonals are allowed unless a class forbids them.
 
 A k-gon "face" of a dissection is a set of k vertices whose k sides are all
 present and whose open hull no other chord enters; emptiness is decided
-combinatorially by the arc rule: a chord stays out of the hull interior iff
-both its endpoints lie in one closed arc between consecutive face vertices.
+combinatorially: a chord enters the hull interior iff face vertices lie
+strictly on both sides of it (equivalently, its endpoints do not share a
+closed arc between consecutive face vertices).
+
+Predicates and searches read one bitmask table per m, built on first use
+(bit i is the i-th diagonal in lexicographic order), so each predicate is a
+few integer ANDs on ``Dissection.mask``.  Their per-call originals are kept
+as the reference in ``tests/oracles.py``.
 
 Enumeration is exhaustive and deterministic.  Non-crossing classes run a
 backtracking search over diagonals in lexicographic order, pruning on
 crossings (sound: adding a diagonal never removes a crossing) and tracking
 face sizes incrementally.  The diagonally framed class admits crossings, so
 neither of its predicates is monotone; there a three-state decided/undecided
-search prunes only certain violations and re-validates at the leaves.
+search prunes each violation as soon as its last chord is decided, which
+makes every leaf a member of the class.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 from typing import Iterator
 
@@ -79,6 +87,16 @@ class Dissection:
         """Present as a diagonal or as an implicit outer edge (u < v)."""
         return is_outer_edge(self.m, u, v) or (u, v) in self.diagonals
 
+    @functools.cached_property
+    def mask(self) -> int:
+        """Bit i set iff ``all_diagonals(m)[i]`` is present.
+
+        >>> Dissection(5, frozenset({(1, 3), (2, 4)})).mask
+        5
+        """
+        index = _table(self.m).index
+        return sum(1 << index[c] for c in self.diagonals)
+
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     """Strict interleaving; chords sharing an endpoint never cross."""
@@ -90,48 +108,83 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 def crossing_pairs(D: Dissection) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All crossing diagonal pairs, each oriented so the pair reads
     ({p, q}, {r, s}) with p < r < q < s, in lexicographic order."""
-    diags = D.sorted_diagonals()
-    out = []
-    for i, c1 in enumerate(diags):
-        for c2 in diags[i + 1:]:
-            if chords_cross(c1, c2):
-                out.append((c1, c2) if c1[0] < c2[0] else (c2, c1))
-    return out
+    diags, mask = all_diagonals(D.m), D.mask
+    return [tuple(diags[i] for i in _bits(pair))
+            for pair, _ in _table(D.m).frames if pair & mask == pair]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclasses.dataclass(frozen=True)
+class _Table:
+    """Masks over the diagonals of one m-gon (bit i = all_diagonals(m)[i]).
+
+    faces[k]: every ascending k-tuple with its sides (the diagonals among
+    them) and its penetrators (the diagonals entering its open hull).
+    cross[i]: the diagonals crossing diagonal i.
+    frames: per crossing pair, lexicographically, the pair and the
+    diagonals among its four frame chords.
+    """
+
+    index: dict[tuple[int, int], int]
+    faces: dict[int, tuple[tuple[tuple[int, ...], int, int], ...]]
+    cross: tuple[int, ...]
+    frames: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(m: int) -> _Table:
+    diags = all_diagonals(m)
+    index = {c: i for i, c in enumerate(diags)}
+
+    def chord_mask(chords) -> int:
+        return sum(1 << index[c] for c in chords if not is_outer_edge(m, *c))
+
+    def enters(face: tuple[int, ...], x: int, y: int) -> bool:
+        return (any(x < f < y for f in face)
+                and any(f < x or f > y for f in face))
+
+    faces = {k: tuple((face,
+                       chord_mask([*zip(face, face[1:]), (face[0], face[-1])]),
+                       chord_mask(c for c in diags if enters(face, *c)))
+                      for face in itertools.combinations(range(1, m + 1), k))
+             for k in (3, 4)}
+    cross = [0] * len(diags)
+    frames = []
+    for i, j in itertools.combinations(range(len(diags)), 2):
+        if chords_cross(diags[i], diags[j]):
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+            x1, x2, x3, x4 = sorted(diags[i] + diags[j])
+            frames.append(((1 << i) | (1 << j), chord_mask(
+                [(x1, x2), (x2, x3), (x3, x4), (x1, x4)])))
+    return _Table(index, faces, tuple(cross), tuple(frames))
 
 
 def is_noncrossing(D: Dissection) -> bool:
-    diags = D.sorted_diagonals()
-    return not any(chords_cross(c1, c2)
-                   for i, c1 in enumerate(diags) for c2 in diags[i + 1:])
+    cross, mask = _table(D.m).cross, D.mask
+    return not any(cross[i] & mask for i in _bits(mask))
 
 
 def is_diagonally_framed(D: Dissection) -> bool:
     """Every crossing pair {x1,x3}, {x2,x4} (x1<x2<x3<x4) must have all of
     {x1,x2}, {x2,x3}, {x3,x4}, {x1,x4} present as diagonals or outer edges."""
-    for (x1, x3), (x2, x4) in crossing_pairs(D):
-        if not (D.has_chord(x1, x2) and D.has_chord(x2, x3)
-                and D.has_chord(x3, x4) and D.has_chord(x1, x4)):
-            return False
-    return True
-
-
-def _in_one_arc(face: tuple[int, ...], x: int, y: int) -> bool:
-    """Arc rule: do x and y lie together in one closed arc between
-    consecutive face vertices?  The last arc wraps around the polygon."""
-    k = len(face)
-    for i in range(k - 1):
-        if face[i] <= x <= face[i + 1] and face[i] <= y <= face[i + 1]:
-            return True
-    hi, lo = face[-1], face[0]
-    x_in = x >= hi or x <= lo
-    y_in = y >= hi or y <= lo
-    return x_in and y_in
+    mask = D.mask
+    return all(pair & mask != pair or frame & mask == frame
+               for pair, frame in _table(D.m).frames)
 
 
 def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     """All ascending k-tuples bounding an empty face: every side present and
-    no chord of D inside the open hull.  Sides pass the arc rule themselves,
-    so they need no special casing.
+    no chord of D inside the open hull, i.e. the face's side mask inside
+    ``D.mask`` and its penetrator mask disjoint from it.  Sides never enter
+    the hull, so they need no special casing.
 
     >>> empty_faces(Dissection(4, frozenset()), 4)
     [(1, 2, 3, 4)]
@@ -140,15 +193,9 @@ def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"face size must be 3 or 4, got {k}")
-    out = []
-    diags = D.sorted_diagonals()
-    for face in itertools.combinations(range(1, D.m + 1), k):
-        sides_ok = all(D.has_chord(face[i], face[i + 1]) for i in range(k - 1))
-        if not (sides_ok and D.has_chord(face[0], face[-1])):
-            continue
-        if all(_in_one_arc(face, x, y) for x, y in diags):
-            out.append(face)
-    return out
+    mask = D.mask
+    return [face for face, sides, pens in _table(D.m).faces[k]
+            if sides & mask == sides and not pens & mask]
 
 
 def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
@@ -199,15 +246,9 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
     noncrossing, tri_free = _class_flags(clazz)
     if D.m == 2:
         return True
-    if noncrossing and not is_noncrossing(D):
-        return False
-    if not noncrossing and not is_diagonally_framed(D):
-        return False
-    if empty_faces(D, 4):
-        return False
-    if tri_free and D.m > 3 and empty_faces(D, 3):
-        return False
-    return True
+    return ((is_noncrossing(D) if noncrossing else is_diagonally_framed(D))
+            and not empty_faces(D, 4)
+            and not (tri_free and D.m > 3 and empty_faces(D, 3)))
 
 
 def _enumerate_noncrossing(m: int, tri_free: bool) -> list[frozenset[tuple[int, int]]]:
@@ -216,12 +257,7 @@ def _enumerate_noncrossing(m: int, tri_free: bool) -> list[frozenset[tuple[int, 
     one face in two)."""
     diags = all_diagonals(m)
     d = len(diags)
-    cross = [0] * d
-    for i in range(d):
-        for j in range(i + 1, d):
-            if chords_cross(diags[i], diags[j]):
-                cross[i] |= 1 << j
-                cross[j] |= 1 << i
+    cross = _table(m).cross
 
     def badness(face: tuple[int, ...]) -> int:
         size = len(face)
@@ -265,81 +301,41 @@ def _enumerate_framed_quadfree(m: int) -> list[frozenset[tuple[int, int]]]:
     """Decided/undecided search for the framed quad-free class.
 
     Framedness and quad-freeness are not monotone under adding diagonals, so
-    branches are cut only when a violation is certain from decided chords: a
+    a branch is cut only when a violation is certain from decided chords: a
     crossing pair both included whose frame diagonal is excluded, or a
-    4-tuple with all sides decided present and all potential penetrating
-    chords decided absent.  Surviving leaves are re-validated with the
-    public predicates before being reported.
+    4-tuple with all sides included and all penetrators excluded.  Each
+    violation is tested as its last chord is decided, so every leaf is in
+    the class; ``tests/oracles.py`` keeps the leaf-checking original.
     """
+    table = _table(m)
     diags = all_diagonals(m)
     d = len(diags)
-    index = {c: i for i, c in enumerate(diags)}
 
-    # frame requirements per crossing pair, as masks of required diagonals
-    pair_req: dict[tuple[int, int], int] = {}
+    # per diagonal: its crossing partners with their frame, and the
+    # crossing pairs whose frame needs it
     partners: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     req_pairs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not chords_cross(diags[i], diags[j]):
-                continue
-            x1, x2, x3, x4 = sorted(diags[i] + diags[j])
-            req = 0
-            for edge in ((x1, x2), (x2, x3), (x3, x4), (x1, x4)):
-                if not is_outer_edge(m, *edge):
-                    req |= 1 << index[edge]
-            pair_req[(i, j)] = req
-            partners[i].append((1 << j, req))
-            partners[j].append((1 << i, req))
-    for (i, j), req in pair_req.items():
-        bits = req
-        pair_bits = (1 << i) | (1 << j)
-        while bits:
-            low = bits & -bits
-            req_pairs[low.bit_length() - 1].append((pair_bits, req))
-            bits ^= low
+    for pair, frame in table.frames:
+        i, j = _bits(pair)
+        partners[i].append((1 << j, frame))
+        partners[j].append((1 << i, frame))
+        for k in _bits(frame):
+            req_pairs[k].append((pair, frame))
 
-    # empty-quad data: side mask and penetrator mask per 4-tuple
+    # per diagonal: the 4-tuples it is a side of, and those it penetrates
     side_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     pen_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    outer_quads: list[tuple[int, int]] = []
-    for face in itertools.combinations(range(1, m + 1), 4):
-        sides = 0
-        for u, v in ((face[0], face[1]), (face[1], face[2]),
-                     (face[2], face[3]), (face[0], face[3])):
-            if not is_outer_edge(m, u, v):
-                sides |= 1 << index[(u, v)]
-        pens = 0
-        for c in diags:
-            if not _in_one_arc(face, *c):
-                pens |= 1 << index[c]
-        pens &= ~sides
-        entry = (sides, pens)
-        bits = sides
-        while bits:
-            low = bits & -bits
-            side_quads[low.bit_length() - 1].append(entry)
-            bits ^= low
-        bits = pens
-        while bits:
-            low = bits & -bits
-            pen_quads[low.bit_length() - 1].append(entry)
-            bits ^= low
-        if sides == 0:
-            outer_quads.append(entry)
+    for _, sides, pens in table.faces[4]:
+        for k in _bits(sides):
+            side_quads[k].append((sides, pens))
+        for k in _bits(pens):
+            pen_quads[k].append((sides, pens))
 
     found: list[frozenset[tuple[int, int]]] = []
-    full = (1 << d) - 1
-
-    def leaf(inc: int):
-        chosen = frozenset(diags[i] for i in range(d) if inc >> i & 1)
-        D = Dissection(m, chosen)
-        if is_diagonally_framed(D) and not empty_faces(D, 4):
-            found.append(chosen)
 
     def dfs(k: int, inc: int, exc: int):
         if k == d:
-            leaf(inc)
+            found.append(frozenset(diags[i] for i in _bits(inc)))
             return
         bit = 1 << k
         # exclude k
@@ -364,7 +360,7 @@ def _enumerate_framed_quadfree(m: int) -> list[frozenset[tuple[int, int]]]:
             dfs(k + 1, inc2, exc)
 
     # the undissected polygon is itself a forbidden quadrilateral at m = 4
-    if not any(pens == 0 for _, pens in outer_quads):
+    if not any(sides == 0 and pens == 0 for _, sides, pens in table.faces[4]):
         dfs(0, 0, 0)
     return found
 

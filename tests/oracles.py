@@ -3,11 +3,14 @@
 Each oracle recomputes a quantity by a deliberately different route than
 the implementation under test: intervals by scanning value ranges instead
 of position windows, sum intervals by explicit window splitting, face
-emptiness by geometric segment-vs-hull tests on the unit circle, class
-enumeration by naive filtration of every diagonal subset, and realization
-by scanning entire symmetric groups, tree posets by counting Hasse
-parents instead of testing laminarity, and the poset census by filtering
-whole permutations instead of pruning prefixes.
+emptiness by geometric segment-vs-hull tests on the unit circle and by the
+arc rule tested vertex tuple by vertex tuple, framedness and crossings by
+pairwise chord tests instead of the polygon module's per-m bitmask table,
+class enumeration by naive filtration of every diagonal subset through
+those per-call predicates, the framed search by its leaf-checking original,
+realization by scanning entire symmetric groups, tree posets by counting
+Hasse parents instead of testing laminarity, and the poset census by
+filtering whole permutations instead of pruning prefixes.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from collections import Counter
 from polyposet.census import Family
 from polyposet.perm import _intervals_of_entries, _tuple_has_sum_interval
 from polyposet.polygon import Dissection, DissectionClass, all_diagonals, \
-    satisfies_class
+    chords_cross, is_outer_edge
 from polyposet.poset import _is_laminar, key_of_family
 
 EPS = 1e-9
@@ -171,17 +174,184 @@ def geometric_empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def oracle_in_one_arc(face: tuple[int, ...], x: int, y: int) -> bool:
+    """Arc rule: do x and y lie together in one closed arc between
+    consecutive face vertices?  The last arc wraps around the polygon."""
+    k = len(face)
+    for i in range(k - 1):
+        if face[i] <= x <= face[i + 1] and face[i] <= y <= face[i + 1]:
+            return True
+    hi, lo = face[-1], face[0]
+    return (x >= hi or x <= lo) and (y >= hi or y <= lo)
+
+
+def oracle_arc_empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
+    """Empty k-gon faces by testing every ascending vertex tuple: all sides
+    present by ``has_chord``, every diagonal in one arc of the face."""
+    out = []
+    diags = D.sorted_diagonals()
+    for face in itertools.combinations(range(1, D.m + 1), k):
+        sides_ok = all(D.has_chord(face[i], face[i + 1]) for i in range(k - 1))
+        if not (sides_ok and D.has_chord(face[0], face[-1])):
+            continue
+        if all(oracle_in_one_arc(face, x, y) for x, y in diags):
+            out.append(face)
+    return out
+
+
+def oracle_crossing_pairs(D: Dissection):
+    """Crossing diagonal pairs by testing every pair, oriented p < r < q < s,
+    in lexicographic order."""
+    diags = D.sorted_diagonals()
+    return [(c1, c2) if c1[0] < c2[0] else (c2, c1)
+            for i, c1 in enumerate(diags) for c2 in diags[i + 1:]
+            if chords_cross(c1, c2)]
+
+
+def oracle_is_diagonally_framed(D: Dissection) -> bool:
+    """Every crossing pair has its four frame chords, each tested with
+    ``has_chord``."""
+    return all(D.has_chord(x1, x2) and D.has_chord(x2, x3)
+               and D.has_chord(x3, x4) and D.has_chord(x1, x4)
+               for (x1, x3), (x2, x4) in oracle_crossing_pairs(D))
+
+
+def oracle_is_noncrossing(D: Dissection) -> bool:
+    diags = D.sorted_diagonals()
+    return not any(chords_cross(c1, c2)
+                   for i, c1 in enumerate(diags) for c2 in diags[i + 1:])
+
+
+def oracle_satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
+    """Class membership through the per-call oracles; the bare triangle is
+    exempt from the tri-free rule, as in the library."""
+    if D.m == 2:
+        return True
+    if clazz is DissectionClass.FRAMED_QUAD_FREE:
+        if not oracle_is_diagonally_framed(D):
+            return False
+    elif not oracle_is_noncrossing(D):
+        return False
+    if oracle_arc_empty_faces(D, 4):
+        return False
+    return not (clazz is DissectionClass.NONCROSSING_TRI_QUAD_FREE
+                and D.m > 3 and oracle_arc_empty_faces(D, 3))
+
+
 def naive_class_dissections(m: int, clazz: DissectionClass) \
         -> list[frozenset[tuple[int, int]]]:
-    """Every diagonal subset, filtered by the public class predicate;
+    """Every diagonal subset, filtered by ``oracle_satisfies_class``;
     practical through m = 7 (2^14 subsets)."""
     diags = all_diagonals(m)
     out = []
     for bits in range(1 << len(diags)):
         chosen = frozenset(d for i, d in enumerate(diags) if bits >> i & 1)
-        if satisfies_class(Dissection(m, chosen), clazz):
+        if oracle_satisfies_class(Dissection(m, chosen), clazz):
             out.append(chosen)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_framed_quadfree_search(m: int) -> list[frozenset[tuple[int, int]]]:
+    """The framed quad-free decided/undecided search as it was before the
+    polygon table: crossing, frame and arc masks built here, and every leaf
+    re-validated by ``oracle_is_diagonally_framed`` and
+    ``oracle_arc_empty_faces`` before it is reported (m >= 4).  Results come
+    in search order."""
+    diags = all_diagonals(m)
+    d = len(diags)
+    index = {c: i for i, c in enumerate(diags)}
+
+    # frame requirements per crossing pair, as masks of required diagonals
+    pair_req: dict[tuple[int, int], int] = {}
+    partners: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    req_pairs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not chords_cross(diags[i], diags[j]):
+                continue
+            x1, x2, x3, x4 = sorted(diags[i] + diags[j])
+            req = 0
+            for edge in ((x1, x2), (x2, x3), (x3, x4), (x1, x4)):
+                if not is_outer_edge(m, *edge):
+                    req |= 1 << index[edge]
+            pair_req[(i, j)] = req
+            partners[i].append((1 << j, req))
+            partners[j].append((1 << i, req))
+    for (i, j), req in pair_req.items():
+        bits = req
+        pair_bits = (1 << i) | (1 << j)
+        while bits:
+            low = bits & -bits
+            req_pairs[low.bit_length() - 1].append((pair_bits, req))
+            bits ^= low
+
+    # empty-quad data: side mask and penetrator mask per 4-tuple
+    side_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    pen_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    outer_quads: list[tuple[int, int]] = []
+    for face in itertools.combinations(range(1, m + 1), 4):
+        sides = 0
+        for u, v in ((face[0], face[1]), (face[1], face[2]),
+                     (face[2], face[3]), (face[0], face[3])):
+            if not is_outer_edge(m, u, v):
+                sides |= 1 << index[(u, v)]
+        pens = 0
+        for c in diags:
+            if not oracle_in_one_arc(face, *c):
+                pens |= 1 << index[c]
+        pens &= ~sides
+        entry = (sides, pens)
+        bits = sides
+        while bits:
+            low = bits & -bits
+            side_quads[low.bit_length() - 1].append(entry)
+            bits ^= low
+        bits = pens
+        while bits:
+            low = bits & -bits
+            pen_quads[low.bit_length() - 1].append(entry)
+            bits ^= low
+        if sides == 0:
+            outer_quads.append(entry)
+
+    found: list[frozenset[tuple[int, int]]] = []
+
+    def leaf(inc: int):
+        chosen = frozenset(diags[i] for i in range(d) if inc >> i & 1)
+        D = Dissection(m, chosen)
+        if oracle_is_diagonally_framed(D) and not oracle_arc_empty_faces(D, 4):
+            found.append(chosen)
+
+    def dfs(k: int, inc: int, exc: int):
+        if k == d:
+            leaf(inc)
+            return
+        bit = 1 << k
+        # exclude k
+        exc2 = exc | bit
+        ok = all(inc & pb != pb for pb, _ in req_pairs[k])
+        if ok:
+            for sides, pens in pen_quads[k]:
+                if sides & inc == sides and pens & ~exc2 == 0:
+                    ok = False
+                    break
+        if ok:
+            dfs(k + 1, inc, exc2)
+        # include k
+        inc2 = inc | bit
+        ok = all(not (inc & pb) or not (req & exc) for pb, req in partners[k])
+        if ok:
+            for sides, pens in side_quads[k]:
+                if sides & inc2 == sides and pens & ~exc == 0:
+                    ok = False
+                    break
+        if ok:
+            dfs(k + 1, inc2, exc)
+
+    # the undissected polygon is itself a forbidden quadrilateral at m = 4
+    if not any(pens == 0 for _, pens in outer_quads):
+        dfs(0, 0, 0)
+    return found
 
 
 def framed_quadfree_count_vectorized(m: int) -> int:

@@ -81,13 +81,25 @@ def test_poset_caps():
 
 
 @pytest.mark.parametrize("family, n", [(Family.ALL, 7), (Family.TREE, 7),
-                                       (Family.BLOCKWISE_SIMPLE, 8)],
+                                       (Family.BLOCKWISE_SIMPLE, 9)],
                          ids=lambda v: getattr(v, "value", str(v)))
 def test_census_is_thread_count_invariant(family, n):
     # every order here is above the serial cutoff, so threads=3 uses a pool
     solo = poset_census(n, family, threads=1)
     pooled = poset_census(n, family, threads=3)
     assert solo == pooled
+
+
+@pytest.mark.parametrize("family, n", [(Family.ALL, 6), (Family.TREE, 6),
+                                       (Family.BLOCKWISE_SIMPLE, 8)],
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    expected = poset_census(n, family, threads=1)
+    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
+    assert poset_census(n, family, threads=3) == expected
 
 
 @pytest.mark.parametrize("family, max_n", [(Family.ALL, 8), (Family.TREE, 8),

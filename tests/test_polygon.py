@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,13 @@ from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                faces_of_noncrossing, is_diagonally_framed,
                                is_noncrossing, parse_dissection_text,
                                satisfies_class, write_dissection_text)
+from polyposet.polygon import _enumerate_framed_quadfree
 
-from oracles import geometric_empty_faces, naive_class_dissections
+from oracles import (geometric_empty_faces, naive_class_dissections,
+                     oracle_arc_empty_faces, oracle_crossing_pairs,
+                     oracle_framed_quadfree_search,
+                     oracle_is_diagonally_framed, oracle_is_noncrossing,
+                     oracle_satisfies_class)
 
 
 def dis(m, *chords):
@@ -111,6 +118,61 @@ def test_noncrossing_faces_are_the_empty_faces(D):
     assert sum(len(f) for f in faces) == D.m + 2 * len(D.diagonals)
     for k in (3, 4):
         assert [f for f in faces if len(f) == k] == empty_faces(D, k)
+
+
+def assert_table_matches_oracles(D):
+    for k in (3, 4):
+        assert empty_faces(D, k) == oracle_arc_empty_faces(D, k), (D, k)
+    assert is_diagonally_framed(D) == oracle_is_diagonally_framed(D), D
+    assert is_noncrossing(D) == oracle_is_noncrossing(D), D
+    assert crossing_pairs(D) == oracle_crossing_pairs(D), D
+    for clazz in DissectionClass:
+        assert satisfies_class(D, clazz) == oracle_satisfies_class(D, clazz)
+
+
+def test_table_predicates_match_oracles_on_every_subset():
+    for m in range(2, 8):
+        diags = all_diagonals(m)
+        for bits in range(1 << len(diags)):
+            assert_table_matches_oracles(Dissection(m, frozenset(
+                c for i, c in enumerate(diags) if bits >> i & 1)))
+
+
+def test_table_predicates_match_oracles_on_larger_polygons():
+    # random subsets of every density, and random non-crossing dissections,
+    # which are the ones with many empty triangles and quadrilaterals
+    rng = random.Random(20261018)
+    for m in range(8, 12):
+        diags = all_diagonals(m)
+        for _ in range(150):
+            assert_table_matches_oracles(Dissection(m, frozenset(
+                rng.sample(diags, rng.randint(0, len(diags))))))
+            chosen = []
+            for c in rng.sample(diags, rng.randint(0, len(diags))):
+                if not any(chords_cross(c, other) for other in chosen):
+                    chosen.append(c)
+            assert_table_matches_oracles(Dissection(m, frozenset(chosen)))
+
+
+def test_mask_is_cached_and_leaves_equality_alone():
+    D = dis(6, (1, 3), (2, 6))
+    diags = all_diagonals(6)
+    assert D.mask == (1 << diags.index((1, 3))) | (1 << diags.index((2, 6)))
+    assert D.mask is D.mask
+    twin = dis(6, (2, 6), (1, 3))
+    assert D == twin and hash(D) == hash(twin)
+    assert D != dis(6, (1, 3))
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_framed_search_matches_leaf_checking_original(m):
+    # same diagonal sets in the same search order, and each leaf the
+    # original would have re-validated is in the class without the check
+    fast = _enumerate_framed_quadfree(m)
+    assert fast == oracle_framed_quadfree_search(m)
+    assert [D.diagonals for D in enumerate_dissections(
+        m, DissectionClass.FRAMED_QUAD_FREE)] \
+        == sorted(fast, key=lambda s: (len(s), sorted(s)))
 
 
 def test_enumerate_square_framed_order():
