@@ -6,21 +6,25 @@ realizes interval families as permutations by pruned search, runs the
 structural identity checks, and cross-checks counts against locally stored
 OEIS b-files.
 
-Poset scans are one prefix DFS over S_n that grows each prefix's interval
-set incrementally, checking only the windows that end at the newest
-position.  The block-wise family prunes a prefix as soon as it holds a sum
-of two blocks, so no rejected permutation is ever completed.  Leaves
-deduplicate by an exact family bitmask before any poset-level predicate
-runs, so the structural work happens once per distinct poset rather than
-once per permutation.  The permutation space splits by first entry for
-parallel runs; merging key sets is order-independent, so results do not
-depend on the worker count.
+Poset scans and the identity checks share one prefix DFS over S_n that
+grows each prefix's interval set incrementally, checking only the windows
+that end at the newest position.  The block-wise family prunes a prefix as
+soon as it holds a sum of two blocks, so no rejected permutation is ever
+completed; the other families record whether the permutation holds a sum
+of three.  Leaves deduplicate by an exact family bitmask paired with that
+flag before any poset-level predicate runs, so the structural work happens
+once per distinct poset rather than once per permutation, and the bitmask
+stays the family's identity until a canonical key is written for the
+report.  The sum-of-three flag is still found per permutation, by stacking
+blocks, a different route from the poset side's laminarity test.  The
+permutation space splits by first entry for parallel runs; merging keeps
+the first representative of each key in first-entry order, so results do
+not depend on the worker count.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import json
 import multiprocessing
 import os
@@ -29,7 +33,7 @@ from typing import IO, Iterable
 
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 from .bijection import classify_image
-from .perm import Permutation, _intervals_of_entries, _tuple_has_sum_interval
+from .perm import Permutation, _intervals_of_entries
 from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
                       enumerate_dissections)
 from .poset import (IntervalPoset, _closure_violation, _is_laminar,
@@ -75,42 +79,64 @@ REALIZE_CAP = 8
 IDENTITY_CAP = 8
 
 
-def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
-    """One representative permutation per canonical key, over the
+def _scan_block(args: tuple[int, int, str]) -> dict[int, tuple[int, ...]]:
+    """``mask << 1 | triple`` -> one representative permutation, over the
     permutations of 1..n starting with a fixed first entry.
 
     A prefix DFS places values left to right in increasing order, so leaves
-    arrive in lexicographic order and each family keeps its smallest
+    arrive in lexicographic order and each key keeps its smallest
     permutation.  Placing a value at position k completes exactly the
     windows [i..k]; one backward pass with a running min and max finds the
     blocks among them and ORs bit ``lo * (n + 1) + hi`` of each into the
     prefix's family mask, which at a leaf is exact.  Whether a window is a
-    block depends on its entries alone, so a sum of two blocks found in a
-    prefix is permanent: the block-wise family rejects the prefix as soon
-    as a new block [i..k] sits next to a block ending at i - 1 with a
-    stacked value range.
+    block depends on its entries alone, so a sum found in a prefix is
+    permanent.  A new block [i..k] whose value range continues a block
+    ending at i - 1 upward or downward is the second part of a sum of two:
+    the block-wise family rejects the prefix there, and the other families
+    record the block as such a part.  When the block ending at i - 1 is
+    itself a second part stacked the same way, the three form a sum of
+    three, and ``triple`` records that the permutation has one.
     """
     n, first, family_value = args
     blockwise = Family(family_value) is Family.BLOCKWISE_SIMPLE
     width = n + 1
     entries = [0] * n
     used = [False] * (n + 1)
-    # value bitmasks of the his and los of the blocks ending at each position
+    # value bitmasks of the his and los of the blocks ending at each
+    # position, and of the his (ups) and los (downs) of those among them
+    # that are the second part of an ascending or a descending sum of two
     his = [0] * n
     los = [0] * n
+    ups = [0] * n
+    downs = [0] * n
     found: dict[int, tuple[int, ...]] = {}
 
-    def extend(k: int, mask: int):
+    def extend(k: int, mask: int, triple: int):
         if k == n:
-            if mask not in found:
-                found[mask] = tuple(entries)
+            key = mask << 1 | triple
+            if key not in found:
+                found[key] = tuple(entries)
             return
-        # a singleton stacked on a block ending at k - 1 (with the adjacent
-        # +-1 pair as its smallest case) is rejected before any window scan
-        stacked = (his[k - 1] << 1) | (los[k - 1] >> 1) if blockwise else 0
+        # values whose singleton continues a block ending at k - 1 upward
+        # or downward (the adjacent +-1 pair is the smallest case); tested
+        # before the window loop, so a block-wise prefix rejects them
+        # without scanning any window
+        after_his = his[k - 1] << 1
+        stacked = after_his | los[k - 1] >> 1
         for v in range(1, n + 1):
-            if used[v] or stacked >> v & 1:
+            if used[v]:
                 continue
+            up_bits = down_bits = 0
+            has_triple = triple
+            if stacked >> v & 1:
+                if blockwise:
+                    continue
+                if after_his >> v & 1:
+                    up_bits = 1 << v
+                    has_triple |= ups[k - 1] >> (v - 1) & 1
+                else:
+                    down_bits = 1 << v
+                    has_triple |= downs[k - 1] >> (v + 1) & 1
             lo = hi = v
             grown = mask | 1 << (v * width + v)
             hi_bits = lo_bits = 1 << v
@@ -121,9 +147,16 @@ def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
                 elif e > hi:
                     hi = e
                 if hi - lo == k - i:
-                    if blockwise and i and (his[i - 1] >> (lo - 1) & 1
-                                            or los[i - 1] >> (hi + 1) & 1):
-                        break
+                    if i and his[i - 1] >> (lo - 1) & 1:
+                        if blockwise:
+                            break
+                        up_bits |= 1 << hi
+                        has_triple |= ups[i - 1] >> (lo - 1) & 1
+                    elif i and los[i - 1] >> (hi + 1) & 1:
+                        if blockwise:
+                            break
+                        down_bits |= 1 << lo
+                        has_triple |= downs[i - 1] >> (hi + 1) & 1
                     grown |= 1 << (lo * width + hi)
                     hi_bits |= 1 << hi
                     lo_bits |= 1 << lo
@@ -131,20 +164,22 @@ def _scan_block(args: tuple[int, int, str]) -> dict[str, tuple[int, ...]]:
                 entries[k] = v
                 his[k] = hi_bits
                 los[k] = lo_bits
+                ups[k] = up_bits
+                downs[k] = down_bits
                 used[v] = True
-                extend(k + 1, grown)
+                extend(k + 1, grown, has_triple)
                 used[v] = False
 
     entries[0] = first
     his[0] = los[0] = 1 << first
     used[first] = True
-    extend(1, 1 << (first * width + first))
-    return {key_of_family(n, _family_of_mask(mask, width)): rep
-            for mask, rep in found.items()}
+    extend(1, 1 << (first * width + first), 0)
+    return found
 
 
 def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
-    """The intervals whose bits ``lo * width + hi`` are set in the mask."""
+    """The intervals whose bits ``lo * width + hi`` are set in the mask, in
+    ascending order."""
     family = []
     while mask:
         low = mask & -mask
@@ -153,24 +188,16 @@ def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
     return family
 
 
-def poset_census(n: int, family: Family, *, cap: int | None = None,
-                 threads: int | None = None) -> dict[str, tuple[int, ...]]:
-    """Canonical key -> one representative entry tuple, over all
-    permutations of order n in the family.
+def _scan(n: int, family: Family,
+          threads: int | None) -> dict[int, tuple[int, ...]]:
+    """``mask << 1 | triple`` -> lexicographically least permutation of
+    order n in the family, in the order of those permutations.
 
-    Representatives are lexicographically least and keys appear in the
-    order of their representatives.  The Tree filter is poset-level, so it
-    runs once per distinct key; the block-wise condition prunes prefixes
-    inside the scan, so permutations outside the family are never completed.
     Orders above the family's serial cutoff split the scan by first entry
-    over a pool of ``threads`` workers (default: one per CPU).
+    over a pool of ``threads`` workers (default: one per CPU).  Each part is
+    in lexicographic order and the parts come in order of first entry, so
+    keeping the first representative of each key keeps the least one.
     """
-    if cap is None:
-        cap = DEFAULT_POSET_CAPS[family]
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the census cap {cap} for {family.value}")
     if threads is None:
         threads = os.cpu_count() or 1
     jobs = [(n, first, family.value) for first in range(1, n + 1)]
@@ -179,14 +206,41 @@ def poset_census(n: int, family: Family, *, cap: int | None = None,
     else:
         with multiprocessing.Pool(min(threads, n)) as pool:
             partials = pool.map(_scan_block, jobs)
-    reps: dict[str, tuple[int, ...]] = {}
+    found: dict[int, tuple[int, ...]] = {}
     for part in partials:
         for key, entries in part.items():
-            reps.setdefault(key, entries)
-    if family is Family.TREE:
-        reps = {key: entries for key, entries in reps.items()
-                if _is_laminar(_intervals_of_entries(entries))}
-    return reps
+            found.setdefault(key, entries)
+    return found
+
+
+def poset_census(n: int, family: Family, *, cap: int | None = None,
+                 threads: int | None = None) -> dict[str, tuple[int, ...]]:
+    """Canonical key -> one representative entry tuple, over all
+    permutations of order n in the family.
+
+    Representatives are lexicographically least and keys appear in the
+    order of their representatives.  The scan deduplicates by family
+    bitmask; the Tree filter and the canonical key run once per distinct
+    mask, and the block-wise condition prunes prefixes inside the scan, so
+    permutations outside the family are never completed.  Orders above the
+    family's serial cutoff split the scan by first entry over a pool of
+    ``threads`` workers (default: one per CPU).
+    """
+    if cap is None:
+        cap = DEFAULT_POSET_CAPS[family]
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the census cap {cap} for {family.value}")
+    reps: dict[int, tuple[int, ...]] = {}
+    for key, entries in _scan(n, family, threads).items():
+        reps.setdefault(key >> 1, entries)
+    by_key: dict[str, tuple[int, ...]] = {}
+    for mask, entries in reps.items():
+        fam = _family_of_mask(mask, n + 1)
+        if family is not Family.TREE or _is_laminar(fam):
+            by_key[key_of_family(n, fam)] = entries
+    return by_key
 
 
 def distinct_posets(n: int, family: Family, *, cap: int | None = None,
@@ -402,10 +456,11 @@ class IdentityCheck:
 
 
 def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
-    """Four exhaustive checks over S_n, reporting the first counterexample:
+    """Four exhaustive checks over S_n, reporting the lexicographically
+    least counterexample:
 
     - simple-share-poset: all simple permutations (order >= 2) yield one
-      canonical key;
+      interval poset;
     - overlap-closure: unions, intersections and both differences of
       properly overlapping intervals are present in every interval poset;
     - no-three-descendants: no poset element has exactly 3 direct
@@ -413,43 +468,46 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
     - tree-iff-no-triple-sum: the interval poset is a tree exactly when the
       permutation has no three-block sum interval.
 
-    Poset-level facts are evaluated once per distinct canonical key; the
-    sum-interval side of the last check is recomputed per permutation so
-    the equivalence is tested across both routes.
+    The walk is the census scan of all permutations, which reports the
+    least permutation of each (family mask, triple flag) pair.  Poset-level
+    facts are evaluated once per distinct mask.  The triple flag is still
+    found per permutation, by stacking blocks as the prefix grows, while
+    the tree side is the laminarity of the family, so the last check tests
+    the equivalence across both routes.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the identity-check cap {cap}")
-    simple_keys: set[str] = set()
+    simple_masks: set[int] = set()
     fails: dict[str, str | None] = {"simple-share-poset": None,
                                     "overlap-closure": None,
                                     "no-three-descendants": None,
                                     "tree-iff-no-triple-sum": None}
-    per_key: dict[str, tuple[bool, bool, bool]] = {}
+    per_mask: dict[int, tuple[bool, bool, bool]] = {}
 
     def note(check: str, entries: tuple[int, ...]):
         if fails[check] is None:
             fails[check] = str(Permutation(entries))
 
-    for entries in itertools.permutations(range(1, n + 1)):
-        fam = _intervals_of_entries(entries)
-        key = key_of_family(n, fam)
-        info = per_key.get(key)
+    for key, entries in _scan(n, Family.ALL, None).items():
+        mask = key >> 1
+        info = per_mask.get(mask)
         if info is None:
+            fam = frozenset(_family_of_mask(mask, n + 1))
             info = (_is_laminar(fam), _closure_violation(fam, n) is None,
                     _three_descendant_violation(fam) is None)
-            per_key[key] = info
+            per_mask[mask] = info
         tree, closure_ok, three_ok = info
         if not closure_ok:
             note("overlap-closure", entries)
         if not three_ok:
             note("no-three-descendants", entries)
-        if n >= 2 and len(fam) == n + 1:
-            simple_keys.add(key)
-            if len(simple_keys) > 1:
+        if n >= 2 and mask.bit_count() == n + 1:
+            simple_masks.add(mask)
+            if len(simple_masks) > 1:
                 note("simple-share-poset", entries)
-        if tree == _tuple_has_sum_interval(entries, 3):
+        if tree == bool(key & 1):
             note("tree-iff-no-triple-sum", entries)
 
     return [IdentityCheck(name, fails[name] is None, fails[name])

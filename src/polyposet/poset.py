@@ -64,20 +64,27 @@ def _trivial_intervals(n: int) -> set[tuple[int, int]]:
     return {(i, i) for i in range(1, n + 1)} | {(1, n)}
 
 
-def _family_children(intervals, v: tuple[int, int]) -> list[tuple[int, int]]:
+def _nesting_order(intervals) -> list[tuple[int, int]]:
+    """The family sorted by (lo, -hi): every member after all members
+    that contain it."""
+    return sorted(intervals, key=lambda w: (w[0], -w[1]))
+
+
+def _family_children(ordered, v: tuple[int, int]) -> list[tuple[int, int]]:
     """Maximal members of the family strictly inside v, by ascending minimum.
 
-    Sorted by (lo, -hi), a member lies inside another exactly when some
-    earlier member reaches at least as far right.
+    ``ordered`` is the family in ``_nesting_order``, where a member lies
+    inside another exactly when some earlier member reaches at least as far
+    right, and nothing after the first member starting past v lies inside
+    v; callers sort once for all the members they ask about.
     """
     lo, hi = v
-    below = sorted((w for w in intervals
-                    if lo <= w[0] and w[1] <= hi and w != v),
-                   key=lambda w: (w[0], -w[1]))
     children = []
     reach = lo - 1
-    for w in below:
-        if w[1] > reach:
+    for w in ordered:
+        if w[0] > hi:
+            break
+        if lo <= w[0] and w[1] <= hi and w[1] > reach and w != v:
             children.append(w)
             reach = w[1]
     return children
@@ -93,7 +100,7 @@ def _is_laminar(intervals) -> bool:
     still open at the current minimum on a stack, innermost on top.
     """
     open_his: list[int] = []
-    for lo, hi in sorted(intervals, key=lambda w: (w[0], -w[1])):
+    for lo, hi in _nesting_order(intervals):
         while open_his and open_his[-1] < lo:
             open_his.pop()
         if open_his and open_his[-1] < hi:
@@ -110,14 +117,15 @@ def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]
     """
     if v not in P.intervals:
         raise ElementNotInPoset(v)
-    return _family_children(P.intervals, v)
+    return _family_children(_nesting_order(P.intervals), v)
 
 
 def hasse_edges(P: IntervalPoset) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All cover pairs (parent, child), parents in (lo, hi) order and
     children in ascending-minimum order under each parent."""
+    ordered = _nesting_order(P.intervals)
     return [(v, c) for v in P.sorted_elements()
-            for c in _family_children(P.intervals, v)]
+            for c in _family_children(ordered, v)]
 
 
 def is_tree(P: IntervalPoset) -> bool:
@@ -140,7 +148,8 @@ def children_histogram(P: IntervalPoset) -> dict[int, int]:
     >>> children_histogram(poset_of(Permutation((2, 4, 1, 3))))
     {0: 4, 4: 1}
     """
-    sizes = [len(_family_children(P.intervals, v)) for v in P.intervals]
+    ordered = _nesting_order(P.intervals)
+    sizes = [len(_family_children(ordered, v)) for v in ordered]
     return {k: sizes.count(k) for k in sorted(set(sizes))}
 
 
@@ -192,8 +201,10 @@ def _closure_violation(intervals, n):
 
 
 def _three_descendant_violation(intervals):
+    """First member, in (lo, hi) order, with exactly 3 direct descendants."""
+    ordered = _nesting_order(intervals)
     for v in sorted(intervals):
-        kids = _family_children(intervals, v)
+        kids = _family_children(ordered, v)
         if len(kids) == 3:
             return (v, tuple(kids))
     return None

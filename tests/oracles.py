@@ -9,8 +9,11 @@ pairwise chord tests instead of the polygon module's per-m bitmask table,
 class enumeration by naive filtration of every diagonal subset through
 those per-call predicates, the framed search by its leaf-checking original,
 realization by scanning entire symmetric groups, tree posets by counting
-Hasse parents instead of testing laminarity, and the poset census by
-filtering whole permutations instead of pruning prefixes.
+Hasse parents instead of testing laminarity, the three-descendants check
+by those per-member children, the poset census by filtering whole
+permutations instead of pruning prefixes, and the identity checks by a
+second walk of S_n that keys each permutation's family by string and finds
+its three-block sums on the whole permutation.
 """
 from __future__ import annotations
 
@@ -18,11 +21,13 @@ import itertools
 import math
 from collections import Counter
 
-from polyposet.census import Family
-from polyposet.perm import _intervals_of_entries, _tuple_has_sum_interval
-from polyposet.polygon import Dissection, DissectionClass, all_diagonals, \
-    chords_cross, is_outer_edge
-from polyposet.poset import _is_laminar, key_of_family
+from polyposet.census import IDENTITY_CAP, Family, IdentityCheck
+from polyposet.perm import Permutation, _intervals_of_entries, \
+    _tuple_has_sum_interval
+from polyposet.polygon import CapExceeded, Dissection, DissectionClass, \
+    all_diagonals, chords_cross, is_outer_edge
+from polyposet.poset import _closure_violation, _is_laminar, \
+    _three_descendant_violation, key_of_family
 
 EPS = 1e-9
 
@@ -91,6 +96,16 @@ def oracle_is_tree(family, n: int) -> bool:
     return all(parents[v] == 1 for v in family if v != (1, n))
 
 
+def oracle_three_descendant_violation(family):
+    """First member, in (lo, hi) order, with exactly 3 children, as
+    ``(member, children)``; None when there is none."""
+    for v in sorted(family):
+        kids = oracle_children(family, v)
+        if len(kids) == 3:
+            return (v, tuple(kids))
+    return None
+
+
 def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
     """Canonical key -> lexicographically first permutation, in order of
     first appearance, by filtering every permutation of S_n: block-wise
@@ -111,6 +126,53 @@ def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
         reps = {key: entries for key, entries in reps.items()
                 if _is_laminar(_intervals_of_entries(entries))}
     return reps
+
+
+def oracle_check_identities(n: int,
+                            cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
+    """``check_identities`` by a walk of its own over S_n: every
+    permutation's interval set is rebuilt and keyed by string, and its
+    three-block sums are found on the whole permutation.  The poset-level
+    predicates are this module's names, so a test can replace them here and
+    in the census together."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the identity-check cap {cap}")
+    simple_keys: set[str] = set()
+    fails: dict[str, str | None] = {"simple-share-poset": None,
+                                    "overlap-closure": None,
+                                    "no-three-descendants": None,
+                                    "tree-iff-no-triple-sum": None}
+    per_key: dict[str, tuple[bool, bool, bool]] = {}
+
+    def note(check: str, entries: tuple[int, ...]):
+        if fails[check] is None:
+            fails[check] = str(Permutation(entries))
+
+    for entries in itertools.permutations(range(1, n + 1)):
+        fam = _intervals_of_entries(entries)
+        key = key_of_family(n, fam)
+        info = per_key.get(key)
+        if info is None:
+            info = (_is_laminar(fam), _closure_violation(fam, n) is None,
+                    _three_descendant_violation(fam) is None)
+            per_key[key] = info
+        tree, closure_ok, three_ok = info
+        if not closure_ok:
+            note("overlap-closure", entries)
+        if not three_ok:
+            note("no-three-descendants", entries)
+        if n >= 2 and len(fam) == n + 1:
+            simple_keys.add(key)
+            if len(simple_keys) > 1:
+                note("simple-share-poset", entries)
+        if tree == _tuple_has_sum_interval(entries, 3):
+            note("tree-iff-no-triple-sum", entries)
+
+    return [IdentityCheck(name, fails[name] is None, fails[name])
+            for name in ("simple-share-poset", "overlap-closure",
+                         "no-three-descendants", "tree-iff-no-triple-sum")]
 
 
 def _vertex_xy(m: int, i: int) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Tests for the census, realization and verification layer."""
 
 import io
+import itertools
 import json
 
 import pytest
@@ -28,8 +29,9 @@ from polyposet import (
 )
 
 import polyposet.census as census
-from oracles import oracle_has_sum_interval, oracle_poset_census, \
-    oracle_realizers
+import oracles
+from oracles import oracle_check_identities, oracle_has_sum_interval, \
+    oracle_poset_census, oracle_realizers
 
 
 FAN_FAMILY = frozenset(
@@ -110,6 +112,20 @@ def test_prefix_scan_matches_whole_permutation_scan(family, max_n):
     for n in range(1, max_n + 1):
         assert list(poset_census(n, family, threads=1).items()) \
             == list(oracle_poset_census(n, family).items()), n
+
+
+def test_scan_triple_flags_match_whole_permutation_sums():
+    # same (family, flag) pairs, same least representatives, same order
+    for n in range(1, 8):
+        scanned = {(frozenset(census._family_of_mask(key >> 1, n + 1)),
+                    key & 1): entries
+                   for key, entries in census._scan(n, Family.ALL, 1).items()}
+        expected = {}
+        for entries in itertools.permutations(range(1, n + 1)):
+            expected.setdefault(
+                (all_intervals(Permutation(entries)),
+                 int(oracle_has_sum_interval(entries, 3))), entries)
+        assert list(scanned.items()) == list(expected.items()), n
 
 
 def test_blockwise_representatives_have_no_sum_of_two():
@@ -254,6 +270,33 @@ def test_check_identities_small_orders():
         ]
         assert all(c.passed for c in checks), (n, checks)
         assert all(c.counterexample is None for c in checks)
+
+
+def test_check_identities_matches_whole_permutation_walk():
+    for n in range(1, 8):
+        assert check_identities(n) == oracle_check_identities(n), n
+
+
+WRONG_PREDICATES = {
+    "_is_laminar": (lambda fam: len(fam) % 2 == 0, "tree-iff-no-triple-sum"),
+    "_closure_violation": (
+        lambda fam, n: (2, 4) if (2, 4) in fam and (1, 2) not in fam else None,
+        "overlap-closure"),
+    "_three_descendant_violation": (
+        lambda fam: (1, 1) if len(fam) % 3 == 1 else None,
+        "no-three-descendants"),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(WRONG_PREDICATES))
+def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
+    wrong, failing = WRONG_PREDICATES[predicate]
+    monkeypatch.setattr(census, predicate, wrong)
+    monkeypatch.setattr(oracles, predicate, wrong)
+    for n in (5, 6):
+        checks = check_identities(n)
+        assert checks == oracle_check_identities(n), n
+        assert not {c.name: c.passed for c in checks}[failing], (n, checks)
 
 
 def test_check_identities_cap():

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from polyposet.census import Family, poset_census
 from polyposet.perm import Permutation, all_intervals, is_simple, \
     parse_permutation
-from polyposet.poset import (ElementNotInPoset, IntervalPoset, canonical_key,
+from polyposet.poset import (ElementNotInPoset, IntervalPoset,
+                             _three_descendant_violation, canonical_key,
                              children_histogram, format_interval,
                              hasse_children, hasse_edges, is_tree,
                              key_of_family, parse_poset_text, poset_of,
                              validate_interval_family, write_poset_text)
 
-from oracles import oracle_children, oracle_is_tree
+from oracles import oracle_children, oracle_is_tree, \
+    oracle_three_descendant_violation
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
@@ -156,7 +158,8 @@ def test_tree_means_unique_parents(p):
 
 
 def test_tree_test_matches_parent_count_on_every_family():
-    """Laminarity against the Hasse parent count on all 7,264 distinct
+    """Laminarity against the Hasse parent count, and the three-descendants
+    check against per-member oracle children, on all 7,264 distinct
     interval posets of orders 1..8."""
     trees = []
     for n in range(1, 9):
@@ -164,6 +167,8 @@ def test_tree_test_matches_parent_count_on_every_family():
                     for entries in poset_census(n, Family.ALL).values()]
         for fam in families:
             assert is_tree(IntervalPoset(n, fam)) == oracle_is_tree(fam, n), fam
+            assert _three_descendant_violation(fam) \
+                == oracle_three_descendant_violation(fam), fam
         trees.append(sum(oracle_is_tree(fam, n) for fam in families))
     assert trees == [1, 1, 2, 6, 21, 78, 301, 1198]
 
@@ -185,6 +190,8 @@ def test_tree_test_and_children_match_oracles_off_posets(P):
     assert is_tree(P) == oracle_is_tree(P.intervals, P.n)
     for v in P.intervals:
         assert hasse_children(P, v) == oracle_children(P.intervals, v)
+    assert _three_descendant_violation(P.intervals) \
+        == oracle_three_descendant_violation(P.intervals)
 
 
 @given(perms)
