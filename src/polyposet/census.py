@@ -16,10 +16,11 @@ flag before any poset-level predicate runs, so the structural work happens
 once per distinct poset rather than once per permutation, and the bitmask
 stays the family's identity until a canonical key is written for the
 report.  The sum-of-three flag is still found per permutation, by stacking
-blocks, a different route from the poset side's laminarity test.  The
-permutation space splits by first entry for parallel runs; merging keeps
-the first representative of each key in first-entry order, so results do
-not depend on the worker count.
+blocks, a different route from the poset side's laminarity test.  Counts,
+keys and image checks read one merge of the scan by mask.  Above a
+per-family order the scan splits by first entry over one worker per CPU;
+merging keeps the first representative of each key in first-entry order,
+so results do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import IO, Iterable
 
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 from .bijection import classify_image
-from .perm import Permutation, _intervals_of_entries
+from .perm import Permutation
 from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
                       enumerate_dissections)
 from .poset import (IntervalPoset, _closure_violation, _is_laminar,
@@ -55,7 +56,7 @@ DEFAULT_POSET_CAPS = {
     Family.BLOCKWISE_SIMPLE: 10,
 }
 
-# highest order scanned serially whatever the thread count: the pruned
+# highest order scanned serially whatever the CPU count: the pruned
 # block-wise scan of S_8 takes 0.025 s, less than starting a pool
 _SERIAL_THROUGH = {
     Family.ALL: 6,
@@ -79,7 +80,7 @@ REALIZE_CAP = 8
 IDENTITY_CAP = 8
 
 
-def _scan_block(args: tuple[int, int, str]) -> dict[int, tuple[int, ...]]:
+def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> one representative permutation, over the
     permutations of 1..n starting with a fixed first entry.
 
@@ -97,8 +98,7 @@ def _scan_block(args: tuple[int, int, str]) -> dict[int, tuple[int, ...]]:
     itself a second part stacked the same way, the three form a sum of
     three, and ``triple`` records that the permutation has one.
     """
-    n, first, family_value = args
-    blockwise = Family(family_value) is Family.BLOCKWISE_SIMPLE
+    n, first, blockwise = args
     width = n + 1
     entries = [0] * n
     used = [False] * (n + 1)
@@ -188,19 +188,18 @@ def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
     return family
 
 
-def _scan(n: int, family: Family,
-          threads: int | None) -> dict[int, tuple[int, ...]]:
+def _scan(n: int, family: Family) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> lexicographically least permutation of
     order n in the family, in the order of those permutations.
 
     Orders above the family's serial cutoff split the scan by first entry
-    over a pool of ``threads`` workers (default: one per CPU).  Each part is
-    in lexicographic order and the parts come in order of first entry, so
-    keeping the first representative of each key keeps the least one.
+    over a pool with one worker per CPU.  Each part is in lexicographic
+    order and the parts come in order of first entry, so keeping the first
+    representative of each key keeps the least one.
     """
-    if threads is None:
-        threads = os.cpu_count() or 1
-    jobs = [(n, first, family.value) for first in range(1, n + 1)]
+    jobs = [(n, first, family is Family.BLOCKWISE_SIMPLE)
+            for first in range(1, n + 1)]
+    threads = os.cpu_count() or 1
     if threads <= 1 or n <= _SERIAL_THROUGH[family]:
         partials = [_scan_block(job) for job in jobs]
     else:
@@ -213,18 +212,11 @@ def _scan(n: int, family: Family,
     return found
 
 
-def poset_census(n: int, family: Family, *, cap: int | None = None,
-                 threads: int | None = None) -> dict[str, tuple[int, ...]]:
-    """Canonical key -> one representative entry tuple, over all
-    permutations of order n in the family.
-
-    Representatives are lexicographically least and keys appear in the
-    order of their representatives.  The scan deduplicates by family
-    bitmask; the Tree filter and the canonical key run once per distinct
-    mask, and the block-wise condition prunes prefixes inside the scan, so
-    permutations outside the family are never completed.  Orders above the
-    family's serial cutoff split the scan by first entry over a pool of
-    ``threads`` workers (default: one per CPU).
+def _distinct_families(n: int, family: Family,
+                       cap: int | None) -> dict[int, tuple[int, ...]]:
+    """Family bitmask -> lexicographically least permutation of order n in
+    the family with that interval set, in the order of those permutations.
+    The tree family is the scan of all permutations kept to laminar masks.
     """
     if cap is None:
         cap = DEFAULT_POSET_CAPS[family]
@@ -233,18 +225,30 @@ def poset_census(n: int, family: Family, *, cap: int | None = None,
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the census cap {cap} for {family.value}")
     reps: dict[int, tuple[int, ...]] = {}
-    for key, entries in _scan(n, family, threads).items():
+    for key, entries in _scan(n, family).items():
         reps.setdefault(key >> 1, entries)
-    by_key: dict[str, tuple[int, ...]] = {}
-    for mask, entries in reps.items():
-        fam = _family_of_mask(mask, n + 1)
-        if family is not Family.TREE or _is_laminar(fam):
-            by_key[key_of_family(n, fam)] = entries
-    return by_key
+    if family is Family.TREE:
+        return {mask: entries for mask, entries in reps.items()
+                if _is_laminar(_family_of_mask(mask, n + 1))}
+    return reps
 
 
-def distinct_posets(n: int, family: Family, *, cap: int | None = None,
-                    threads: int | None = None) -> int:
+def poset_census(n: int, family: Family, *,
+                 cap: int | None = None) -> dict[str, tuple[int, ...]]:
+    """Canonical key -> one representative entry tuple, over all
+    permutations of order n in the family.
+
+    Representatives are lexicographically least and keys appear in the
+    order of their representatives.  The scan deduplicates by family
+    bitmask; the Tree filter and the canonical key run once per distinct
+    mask, and the block-wise condition prunes prefixes inside the scan, so
+    permutations outside the family are never completed.
+    """
+    return {key_of_family(n, _family_of_mask(mask, n + 1)): entries
+            for mask, entries in _distinct_families(n, family, cap).items()}
+
+
+def distinct_posets(n: int, family: Family, *, cap: int | None = None) -> int:
     """Number of distinct interval posets over the family at order n.
 
     >>> distinct_posets(3, Family.ALL)
@@ -252,7 +256,7 @@ def distinct_posets(n: int, family: Family, *, cap: int | None = None,
     >>> distinct_posets(3, Family.TREE)
     2
     """
-    return len(poset_census(n, family, cap=cap, threads=threads))
+    return len(_distinct_families(n, family, cap))
 
 
 def count_dissections(m: int, clazz: DissectionClass,
@@ -313,7 +317,7 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_counts(n: int, family: Family, *, threads: int | None = None,
+def compare_counts(n: int, family: Family, *,
                    poset_cap: int | None = None) -> CensusRow:
     """Both sides of the pairing at m = n + 1, computed independently.
 
@@ -324,7 +328,7 @@ def compare_counts(n: int, family: Family, *, threads: int | None = None,
     start = time.perf_counter()
     dissection_count = count_dissections(n + 1, PAIRED_CLASS[family])
     split = time.perf_counter()
-    poset_count = distinct_posets(n, family, cap=poset_cap, threads=threads)
+    poset_count = distinct_posets(n, family, cap=poset_cap)
     end = time.perf_counter()
     return CensusRow(n=n, clazz=family.value, poset_count=poset_count,
                      dissection_count=dissection_count,
@@ -334,20 +338,20 @@ def compare_counts(n: int, family: Family, *, threads: int | None = None,
                      dissection_ms=round((split - start) * 1000.0, 1))
 
 
-def run_census(family: Family, max_n: int, *, min_n: int | None = None,
-               threads: int | None = None,
-               poset_cap: int | None = None) -> CensusReport:
-    """Census rows for n = min_n..max_n; block-wise rows start at order 4
-    unless asked otherwise.  The requested max_n also authorizes the poset
-    scan up to that order; polygon caps stay in force and are checked for
-    the largest polygon before any order is computed.
+def run_census(family: Family, max_n: int, *,
+               min_n: int | None = None) -> CensusReport:
+    """Census rows for n = min_n..max_n (min_n >= 1); block-wise rows start
+    at order 4 unless asked otherwise.  The requested max_n also authorizes
+    the poset scan up to that order; polygon caps stay in force and are
+    checked for the largest polygon before any order is computed.
     """
     if min_n is None:
         min_n = BLOCKWISE_FIRST_ORDER if family is Family.BLOCKWISE_SIMPLE else 1
+    if min_n < 1:
+        raise ValueError("order must be at least 1")
     if min_n <= max_n:
         check_dissection_cap(max_n + 1, PAIRED_CLASS[family])
-    if poset_cap is None:
-        poset_cap = max(max_n, DEFAULT_POSET_CAPS[family])
+    poset_cap = max(max_n, DEFAULT_POSET_CAPS[family])
     report = CensusReport(conventions={
         "pairing": f"{family.value} posets vs "
                    f"{PAIRED_CLASS[family].value} dissections at m = n + 1",
@@ -356,8 +360,7 @@ def run_census(family: Family, max_n: int, *, min_n: int | None = None,
         "bare_triangle_exempt_from_tri_free": True,
     })
     for n in range(min_n, max_n + 1):
-        report.rows.append(compare_counts(n, family, threads=threads,
-                                          poset_cap=poset_cap))
+        report.rows.append(compare_counts(n, family, poset_cap=poset_cap))
     return report
 
 
@@ -490,7 +493,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
         if fails[check] is None:
             fails[check] = str(Permutation(entries))
 
-    for key, entries in _scan(n, Family.ALL, None).items():
+    for key, entries in _scan(n, Family.ALL).items():
         mask = key >> 1
         info = per_mask.get(mask)
         if info is None:
@@ -529,24 +532,24 @@ IMAGE_PREDICATES = {
 }
 
 
-def check_images(n: int, family: Family, *, cap: int | None = None,
-                 threads: int | None = None) -> IdentityCheck:
+def check_images(n: int, family: Family, *,
+                 cap: int | None = None) -> IdentityCheck:
     """Forward image check for one family at order n: the chord image of
     every distinct poset arising from the family satisfies the predicate
     bundle paired with it (framed and quad-free for all permutations;
     non-crossing and quad-free for tree posets; additionally triangle-free
-    for block-wise simple permutations).
+    for block-wise simple permutations).  A failure names the least
+    permutation in the family whose poset's image fails.
 
     Vacuous at n = 1, where the image is the degenerate 2-gon.
     """
-    reps = poset_census(n, family, cap=cap, threads=threads)
+    reps = _distinct_families(n, family, cap)
     name = IMAGE_CHECK_NAMES[family]
     predicate = IMAGE_PREDICATES[family]
     if n == 1:
         return IdentityCheck(name, True)
-    for key in sorted(reps):
-        entries = reps[key]
-        P = IntervalPoset(n, _intervals_of_entries(entries))
+    for mask, entries in reps.items():
+        P = IntervalPoset(n, frozenset(_family_of_mask(mask, n + 1)))
         if not predicate(classify_image(P)):
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)

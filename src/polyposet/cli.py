@@ -118,8 +118,7 @@ def _cmd_realize(args) -> int:
 def _cmd_census(args) -> int:
     family = Family(args.clazz)
     pairs = None if args.oeis is None else load_bfile(_read_text(args.oeis))
-    report = run_census(family, args.max_n, min_n=args.min_n,
-                        threads=args.threads)
+    report = run_census(family, args.max_n, min_n=args.min_n)
     if not report.rows:
         raise ValueError(f"no {family.value} order to compare "
                          f"up to --max-n {args.max_n}")
@@ -153,8 +152,7 @@ def _cmd_verify(args) -> int:
         for check in check_identities(n, cap=args.max_n):
             all_pass = _print_check(n, check) and all_pass
         for family in Family:
-            check = check_images(n, family, cap=args.max_n,
-                                 threads=args.threads)
+            check = check_images(n, family, cap=args.max_n)
             all_pass = _print_check(n, check) and all_pass
     return 0 if all_pass else 2
 
@@ -218,7 +216,6 @@ def build_parser() -> _Parser:
     p.add_argument("--oeis", default=None, help="b-file to compare against")
     p.add_argument("--offset", type=int, default=0,
                    help="sequence index k maps to order n = k + offset")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_census)
 
@@ -226,7 +223,6 @@ def build_parser() -> _Parser:
                        help="run identity checks and image-property checks; "
                             "--max-n authorizes the full workload")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="emit a Hasse diagram or chord figure")

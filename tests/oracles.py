@@ -11,9 +11,11 @@ those per-call predicates, the framed search by its leaf-checking original,
 realization by scanning entire symmetric groups, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
 by those per-member children, the poset census by filtering whole
-permutations instead of pruning prefixes, and the identity checks by a
+permutations instead of pruning prefixes, the identity checks by a
 second walk of S_n that keys each permutation's family by string and finds
-its three-block sums on the whole permutation.
+its three-block sums on the whole permutation, and the image checks by a
+walk that selects each family's permutations through these oracles and
+classifies the image of every permutation's interval set.
 """
 from __future__ import annotations
 
@@ -21,13 +23,15 @@ import itertools
 import math
 from collections import Counter
 
+from polyposet import census
+from polyposet.bijection import classify_image
 from polyposet.census import IDENTITY_CAP, Family, IdentityCheck
 from polyposet.perm import Permutation, _intervals_of_entries, \
     _tuple_has_sum_interval
 from polyposet.polygon import CapExceeded, Dissection, DissectionClass, \
     all_diagonals, chords_cross, is_outer_edge
-from polyposet.poset import _closure_violation, _is_laminar, \
-    _three_descendant_violation, key_of_family
+from polyposet.poset import IntervalPoset, _closure_violation, \
+    _is_laminar, _three_descendant_violation, key_of_family
 
 EPS = 1e-9
 
@@ -173,6 +177,33 @@ def oracle_check_identities(n: int,
     return [IdentityCheck(name, fails[name] is None, fails[name])
             for name in ("simple-share-poset", "overlap-closure",
                          "no-three-descendants", "tree-iff-no-triple-sum")]
+
+
+def oracle_check_images(n: int, family: Family) -> IdentityCheck:
+    """``check_images`` by a walk of its own over S_n: a permutation is in
+    the tree family when ``oracle_is_tree`` holds for its value-side
+    intervals and in the block-wise family when it has no sum of two; the
+    first permutation in lexicographic order whose image fails the
+    family's predicate is the counterexample.  The predicate is looked up
+    in ``census.IMAGE_PREDICATES`` at call time, so a test can replace it
+    for both routes at once."""
+    name = census.IMAGE_CHECK_NAMES[family]
+    if n == 1:
+        return IdentityCheck(name, True)
+    predicate = census.IMAGE_PREDICATES[family]
+    fails: dict[frozenset[tuple[int, int]], bool] = {}
+    for entries in itertools.permutations(range(1, n + 1)):
+        if (family is Family.BLOCKWISE_SIMPLE
+                and oracle_has_sum_interval(entries, 2)):
+            continue
+        fam = frozenset(oracle_intervals(entries))
+        if fam not in fails:
+            in_family = family is not Family.TREE or oracle_is_tree(fam, n)
+            fails[fam] = in_family and not predicate(
+                classify_image(IntervalPoset(n, fam)))
+        if fails[fam]:
+            return IdentityCheck(name, False, str(Permutation(entries)))
+    return IdentityCheck(name, True)
 
 
 def _vertex_xy(m: int, i: int) -> tuple[float, float]:

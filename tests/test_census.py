@@ -30,8 +30,8 @@ from polyposet import (
 
 import polyposet.census as census
 import oracles
-from oracles import oracle_check_identities, oracle_has_sum_interval, \
-    oracle_poset_census, oracle_realizers
+from oracles import oracle_check_identities, oracle_check_images, \
+    oracle_has_sum_interval, oracle_poset_census, oracle_realizers
 
 
 FAN_FAMILY = frozenset(
@@ -85,11 +85,25 @@ def test_poset_caps():
 @pytest.mark.parametrize("family, n", [(Family.ALL, 7), (Family.TREE, 7),
                                        (Family.BLOCKWISE_SIMPLE, 9)],
                          ids=lambda v: getattr(v, "value", str(v)))
-def test_census_is_thread_count_invariant(family, n):
-    # every order here is above the serial cutoff, so threads=3 uses a pool
-    solo = poset_census(n, family, threads=1)
-    pooled = poset_census(n, family, threads=3)
-    assert solo == pooled
+def test_census_is_thread_count_invariant(family, n, monkeypatch):
+    def run():
+        return (poset_census(n, family), distinct_posets(n, family),
+                check_identities(min(n, census.IDENTITY_CAP)))
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    solo = run()
+    # no serial cutoff and three CPUs: every scan above runs on a pool
+    real_pool, widths = census.multiprocessing.Pool, []
+
+    def spy_pool(width):
+        widths.append(width)
+        return real_pool(width)
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(census, "_SERIAL_THROUGH", dict.fromkeys(Family, 0))
+    monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
+    assert run() == solo
+    assert widths == [3, 3, 3]
 
 
 @pytest.mark.parametrize("family, n", [(Family.ALL, 6), (Family.TREE, 6),
@@ -99,9 +113,11 @@ def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    expected = poset_census(n, family, threads=1)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    expected = poset_census(n, family)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
-    assert poset_census(n, family, threads=3) == expected
+    assert poset_census(n, family) == expected
 
 
 @pytest.mark.parametrize("family, max_n", [(Family.ALL, 8), (Family.TREE, 8),
@@ -110,8 +126,10 @@ def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
 def test_prefix_scan_matches_whole_permutation_scan(family, max_n):
     # same keys, same representatives, same insertion order
     for n in range(1, max_n + 1):
-        assert list(poset_census(n, family, threads=1).items()) \
-            == list(oracle_poset_census(n, family).items()), n
+        expected = oracle_poset_census(n, family)
+        assert list(poset_census(n, family).items()) \
+            == list(expected.items()), n
+        assert distinct_posets(n, family) == len(expected), n
 
 
 def test_scan_triple_flags_match_whole_permutation_sums():
@@ -119,7 +137,7 @@ def test_scan_triple_flags_match_whole_permutation_sums():
     for n in range(1, 8):
         scanned = {(frozenset(census._family_of_mask(key >> 1, n + 1)),
                     key & 1): entries
-                   for key, entries in census._scan(n, Family.ALL, 1).items()}
+                   for key, entries in census._scan(n, Family.ALL).items()}
         expected = {}
         for entries in itertools.permutations(range(1, n + 1)):
             expected.setdefault(
@@ -130,8 +148,7 @@ def test_scan_triple_flags_match_whole_permutation_sums():
 
 def test_blockwise_representatives_have_no_sum_of_two():
     for n in range(1, 10):
-        for entries in poset_census(n, Family.BLOCKWISE_SIMPLE,
-                                    threads=1).values():
+        for entries in poset_census(n, Family.BLOCKWISE_SIMPLE).values():
             assert not oracle_has_sum_interval(entries, 2), entries
 
 
@@ -177,6 +194,16 @@ def test_report_json_schema():
         assert row["poset_ms"] + row["dissection_ms"] \
             <= row["elapsed_ms"] + 0.2
     assert payload["conventions"]["blockwise_first_reported_order"] == 4
+
+
+def test_run_census_rejects_order_below_one_before_any_order(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an order ran before min_n was checked")
+
+    monkeypatch.setattr(census, "compare_counts", no_scan)
+    for family in Family:
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            run_census(family, 3, min_n=0)
 
 
 def test_run_census_checks_polygon_cap_before_any_order(monkeypatch):
@@ -314,6 +341,32 @@ def test_check_images_small_orders():
                 {"all": "image", "tree": "tree-image",
                  "blockwise": "blockwise-image"}[family.value])
             assert check.passed, (n, family, check)
+
+
+def test_check_images_matches_whole_permutation_walk():
+    for n in range(1, 8):
+        for family in Family:
+            assert check_images(n, family) == oracle_check_images(n, family), \
+                (n, family)
+
+
+# wrong on some images but not on the first one, so the reported
+# permutation shows which failing poset is named
+WRONG_IMAGE_PREDICATES = {
+    Family.ALL: lambda c: c.triangle_free,
+    Family.TREE: lambda c: c.triangle_free,
+    Family.BLOCKWISE_SIMPLE: lambda c: not c.triangle_free,
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_check_images_reports_least_counterexample(family, monkeypatch):
+    monkeypatch.setitem(census.IMAGE_PREDICATES, family,
+                        WRONG_IMAGE_PREDICATES[family])
+    for n in (5, 6):
+        check = check_images(n, family)
+        assert check == oracle_check_images(n, family), n
+        assert not check.passed and check.counterexample is not None, n
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,23 @@ def test_census_max_n_zero_is_usage_error(capsys):
     assert out_of(capsys) == ""
 
 
+def test_census_min_n_zero_is_usage_error(capsys):
+    assert run(["census", "--max-n", "3", "--min-n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: order must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["census", "--max-n", "3"],
+                                  ["verify", "--max-n", "2"]],
+                         ids=lambda argv: argv[0])
+def test_threads_option_is_gone(argv, capsys):
+    assert run([*argv, "--threads", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 2" in captured.err
+
+
 def test_census_with_no_aligned_reference_term_is_usage_error(
         fixtures_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
