@@ -17,7 +17,11 @@ once per distinct poset rather than once per permutation, and the bitmask
 stays the family's identity until a canonical key is written for the
 report.  The sum-of-three flag is still found per permutation, by stacking
 blocks, a different route from the poset side's laminarity test.  Counts,
-keys and image checks read one merge of the scan by mask.  Above a
+keys and image checks read one merge of the scan by mask.  ``walk_all``
+returns the scan of all permutations of one order as a ``Walk``, which
+``check_identities`` and the all and tree image checks accept as ``walk=``,
+so ``verify`` walks S_n once per order; the block-wise check keeps its own
+pruned scan.  A walk lives only as long as its caller holds it.  Above a
 per-family order the scan splits by first entry over one worker per CPU;
 merging keeps the first representative of each key in first-entry order,
 so results do not depend on the worker count.
@@ -56,11 +60,13 @@ DEFAULT_POSET_CAPS = {
     Family.BLOCKWISE_SIMPLE: 10,
 }
 
-# highest order scanned serially whatever the CPU count: the pruned
-# block-wise scan of S_8 takes 0.025 s, less than starting a pool
+# highest order scanned serially whatever the CPU count: starting a pool
+# costs more than it saves there (2-CPU Xeon: the scan of S_7 takes 0.042 s
+# serial against 0.068 s pooled, the pruned block-wise scan of S_8 0.025 s
+# against 0.046 s)
 _SERIAL_THROUGH = {
-    Family.ALL: 6,
-    Family.TREE: 6,
+    Family.ALL: 7,
+    Family.TREE: 7,
     Family.BLOCKWISE_SIMPLE: 8,
 }
 
@@ -212,20 +218,58 @@ def _scan(n: int, family: Family) -> dict[int, tuple[int, ...]]:
     return found
 
 
-def _distinct_families(n: int, family: Family,
-                       cap: int | None) -> dict[int, tuple[int, ...]]:
-    """Family bitmask -> lexicographically least permutation of order n in
-    the family with that interval set, in the order of those permutations.
-    The tree family is the scan of all permutations kept to laminar masks.
-    """
+@dataclasses.dataclass(frozen=True)
+class Walk:
+    """The scan of all permutations of order n (see ``_scan``), made by
+    ``walk_all`` and read by any number of identity and image checks."""
+
+    n: int
+    keys: dict[int, tuple[int, ...]]
+
+
+def _check_census_order(n: int, family: Family, cap: int | None):
     if cap is None:
         cap = DEFAULT_POSET_CAPS[family]
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the census cap {cap} for {family.value}")
+
+
+def walk_all(n: int, *, cap: int | None = None) -> Walk:
+    """One walk of all permutations of order n, under the census cap of the
+    all family (or ``cap``), to pass as ``walk=`` to ``check_identities``
+    and to the all and tree image checks of the same order."""
+    _check_census_order(n, Family.ALL, cap)
+    return Walk(n, _scan(n, Family.ALL))
+
+
+def _scan_or_walk(n: int, family: Family,
+                  walk: Walk | None) -> dict[int, tuple[int, ...]]:
+    """The scan of order n in the family: the given walk, or a new scan
+    when there is none.  A walk of another order, or one offered to the
+    block-wise family, whose pruned scan is its own route, is a
+    ``ValueError``."""
+    if walk is None:
+        return _scan(n, family)
+    if family is Family.BLOCKWISE_SIMPLE:
+        raise ValueError("the block-wise check takes no walk: it runs its "
+                         "own pruned scan")
+    if walk.n != n:
+        raise ValueError(f"a walk of order {walk.n} cannot check order {n}")
+    return walk.keys
+
+
+def _distinct_families(n: int, family: Family, cap: int | None,
+                       walk: Walk | None = None) -> dict[int, tuple[int, ...]]:
+    """Family bitmask -> lexicographically least permutation of order n in
+    the family with that interval set, in the order of those permutations.
+    The tree family is the scan of all permutations kept to laminar masks.
+    The scan is ``walk`` when one is given (see ``_scan_or_walk``).
+    """
+    _check_census_order(n, family, cap)
     reps: dict[int, tuple[int, ...]] = {}
-    for key, entries in _scan(n, family).items():
+    for key, entries in _scan_or_walk(n, family, walk).items():
         reps.setdefault(key >> 1, entries)
     if family is Family.TREE:
         return {mask: entries for mask, entries in reps.items()
@@ -458,7 +502,8 @@ class IdentityCheck:
     counterexample: str | None = None
 
 
-def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
+def check_identities(n: int, cap: int = IDENTITY_CAP, *,
+                     walk: Walk | None = None) -> list[IdentityCheck]:
     """Four exhaustive checks over S_n, reporting the lexicographically
     least counterexample:
 
@@ -477,6 +522,10 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
     found per permutation, by stacking blocks as the prefix grows, while
     the tree side is the laminarity of the family, so the last check tests
     the equivalence across both routes.
+
+    ``walk``, from ``walk_all(n)``, is read instead of a new scan; the
+    results are the same.  The order and cap are checked before it is
+    read, and a walk of another order is a ``ValueError``.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -493,7 +542,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
         if fails[check] is None:
             fails[check] = str(Permutation(entries))
 
-    for key, entries in _scan(n, Family.ALL).items():
+    for key, entries in _scan_or_walk(n, Family.ALL, walk).items():
         mask = key >> 1
         info = per_mask.get(mask)
         if info is None:
@@ -532,8 +581,8 @@ IMAGE_PREDICATES = {
 }
 
 
-def check_images(n: int, family: Family, *,
-                 cap: int | None = None) -> IdentityCheck:
+def check_images(n: int, family: Family, *, cap: int | None = None,
+                 walk: Walk | None = None) -> IdentityCheck:
     """Forward image check for one family at order n: the chord image of
     every distinct poset arising from the family satisfies the predicate
     bundle paired with it (framed and quad-free for all permutations;
@@ -542,8 +591,13 @@ def check_images(n: int, family: Family, *,
     permutation in the family whose poset's image fails.
 
     Vacuous at n = 1, where the image is the degenerate 2-gon.
+
+    ``walk``, from ``walk_all(n)``, is read instead of a new scan by the
+    all and tree families; the results are the same.  The order and cap
+    are checked before it is read.  A walk of another order, or any walk
+    for the block-wise family, is a ``ValueError``.
     """
-    reps = _distinct_families(n, family, cap)
+    reps = _distinct_families(n, family, cap, walk)
     name = IMAGE_CHECK_NAMES[family]
     predicate = IMAGE_PREDICATES[family]
     if n == 1:

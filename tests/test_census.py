@@ -26,6 +26,7 @@ from polyposet import (
     poset_of,
     realize,
     run_census,
+    walk_all,
 )
 
 import polyposet.census as census
@@ -87,8 +88,12 @@ def test_poset_caps():
                          ids=lambda v: getattr(v, "value", str(v)))
 def test_census_is_thread_count_invariant(family, n, monkeypatch):
     def run():
+        order = min(n, census.IDENTITY_CAP)
+        walk = walk_all(order)
         return (poset_census(n, family), distinct_posets(n, family),
-                check_identities(min(n, census.IDENTITY_CAP)))
+                check_identities(order), check_identities(order, walk=walk),
+                [check_images(order, f, walk=walk)
+                 for f in (Family.ALL, Family.TREE)])
 
     monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
     solo = run()
@@ -103,11 +108,12 @@ def test_census_is_thread_count_invariant(family, n, monkeypatch):
     monkeypatch.setattr(census, "_SERIAL_THROUGH", dict.fromkeys(Family, 0))
     monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
     assert run() == solo
-    assert widths == [3, 3, 3]
+    # the walk's checks read it and start no scan of their own
+    assert widths == [3, 3, 3, 3]
 
 
-@pytest.mark.parametrize("family, n", [(Family.ALL, 6), (Family.TREE, 6),
-                                       (Family.BLOCKWISE_SIMPLE, 8)],
+@pytest.mark.parametrize("family, n", [(f, census._SERIAL_THROUGH[f])
+                                       for f in Family],
                          ids=lambda v: getattr(v, "value", str(v)))
 def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
     def no_pool(*args, **kwargs):
@@ -301,7 +307,9 @@ def test_check_identities_small_orders():
 
 def test_check_identities_matches_whole_permutation_walk():
     for n in range(1, 8):
-        assert check_identities(n) == oracle_check_identities(n), n
+        expected = oracle_check_identities(n)
+        assert check_identities(n) == expected, n
+        assert check_identities(n, walk=walk_all(n)) == expected, n
 
 
 WRONG_PREDICATES = {
@@ -323,6 +331,7 @@ def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
     for n in (5, 6):
         checks = check_identities(n)
         assert checks == oracle_check_identities(n), n
+        assert check_identities(n, walk=walk_all(n)) == checks, n
         assert not {c.name: c.passed for c in checks}[failing], (n, checks)
 
 
@@ -345,9 +354,13 @@ def test_check_images_small_orders():
 
 def test_check_images_matches_whole_permutation_walk():
     for n in range(1, 8):
+        walk = walk_all(n)
         for family in Family:
-            assert check_images(n, family) == oracle_check_images(n, family), \
-                (n, family)
+            expected = oracle_check_images(n, family)
+            assert check_images(n, family) == expected, (n, family)
+            if family is not Family.BLOCKWISE_SIMPLE:
+                assert check_images(n, family, walk=walk) == expected, \
+                    (n, family)
 
 
 # wrong on some images but not on the first one, so the reported
@@ -366,7 +379,47 @@ def test_check_images_reports_least_counterexample(family, monkeypatch):
     for n in (5, 6):
         check = check_images(n, family)
         assert check == oracle_check_images(n, family), n
+        if family is not Family.BLOCKWISE_SIMPLE:
+            assert check_images(n, family, walk=walk_all(n)) == check, n
         assert not check.passed and check.counterexample is not None, n
+
+
+def test_checks_reject_a_walk_they_cannot_read():
+    walk = walk_all(4)
+    with pytest.raises(ValueError, match="order 4"):
+        check_identities(5, walk=walk)
+    for family in (Family.ALL, Family.TREE):
+        with pytest.raises(ValueError, match="order 4"):
+            check_images(3, family, walk=walk)
+    # the block-wise check keeps its own pruned scan
+    with pytest.raises(ValueError, match="block-wise"):
+        check_images(4, Family.BLOCKWISE_SIMPLE, walk=walk)
+
+
+class _UntouchableWalk:
+    def __getattr__(self, name):
+        raise AssertionError(f"the walk was read ({name})")
+
+
+def test_order_and_cap_are_checked_before_the_walk_is_read():
+    walk = _UntouchableWalk()
+    with pytest.raises(CapExceeded):
+        check_identities(9, cap=8, walk=walk)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_identities(0, walk=walk)
+    for family in Family:
+        with pytest.raises(CapExceeded):
+            check_images(12, family, walk=walk)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_images(0, family, walk=walk)
+
+
+def test_walk_all_cap():
+    with pytest.raises(CapExceeded):
+        walk_all(9)
+    with pytest.raises(ValueError):
+        walk_all(0)
+    assert walk_all(3, cap=3).n == 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import io
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
 import polyposet.census as census
+from polyposet.census import Family
 from polyposet.cli import run
 
 
@@ -305,6 +307,22 @@ def test_verify(capsys):
     assert "FAIL" not in text
     # 4 identity checks + 3 image checks per order
     assert len(text.splitlines()) == 21
+
+
+def test_verify_walks_each_order_once(capsys, monkeypatch):
+    real_scan, calls = census._scan, Counter()
+
+    def spy_scan(n, family):
+        calls[n, family is Family.BLOCKWISE_SIMPLE] += 1
+        return real_scan(n, family)
+
+    monkeypatch.setattr(census, "_scan", spy_scan)
+    assert run(["verify", "--max-n", "6"]) == 0
+    assert "FAIL" not in out_of(capsys)
+    # one walk of S_n for the identity, all and tree checks, one pruned
+    # block-wise scan
+    assert calls == {(n, blockwise): 1 for n in range(1, 7)
+                     for blockwise in (False, True)}
 
 
 def test_verify_max_n_zero_is_usage_error(capsys):
