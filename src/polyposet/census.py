@@ -227,20 +227,24 @@ class Walk:
     keys: dict[int, tuple[int, ...]]
 
 
-def _check_census_order(n: int, family: Family, cap: int | None):
-    if cap is None:
-        cap = DEFAULT_POSET_CAPS[family]
+def _check_order(n: int, cap: int | None = None, name: str = "",
+                 family: Family | None = None):
+    """``ValueError`` below order 1, then, when ``cap`` is given,
+    ``CapExceeded`` above it, naming "the <name> cap <cap>" and the family
+    if one is given."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the census cap {cap} for {family.value}")
+    if cap is not None and n > cap:
+        scope = f" for {family.value}" if family else ""
+        raise CapExceeded(f"n={n} exceeds the {name} cap {cap}{scope}")
 
 
 def walk_all(n: int, *, cap: int | None = None) -> Walk:
     """One walk of all permutations of order n, under the census cap of the
     all family (or ``cap``), to pass as ``walk=`` to ``check_identities``
     and to the all and tree image checks of the same order."""
-    _check_census_order(n, Family.ALL, cap)
+    _check_order(n, DEFAULT_POSET_CAPS[Family.ALL] if cap is None else cap,
+                 "census", Family.ALL)
     return Walk(n, _scan(n, Family.ALL))
 
 
@@ -267,7 +271,8 @@ def _distinct_families(n: int, family: Family, cap: int | None,
     The tree family is the scan of all permutations kept to laminar masks.
     The scan is ``walk`` when one is given (see ``_scan_or_walk``).
     """
-    _check_census_order(n, family, cap)
+    _check_order(n, DEFAULT_POSET_CAPS[family] if cap is None else cap,
+                 "census", family)
     reps: dict[int, tuple[int, ...]] = {}
     for key, entries in _scan_or_walk(n, family, walk).items():
         reps.setdefault(key >> 1, entries)
@@ -391,8 +396,7 @@ def run_census(family: Family, max_n: int, *,
     """
     if min_n is None:
         min_n = BLOCKWISE_FIRST_ORDER if family is Family.BLOCKWISE_SIMPLE else 1
-    if min_n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(min_n)
     if min_n <= max_n:
         check_dissection_cap(max_n + 1, PAIRED_CLASS[family])
     poset_cap = max(max_n, DEFAULT_POSET_CAPS[family])
@@ -426,10 +430,7 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     >>> realize(singles | {(1, 2), (2, 3), (1, 4)}, 4) is None
     True
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the realization cap {cap}")
+    _check_order(n, cap, "realization")
     fam = frozenset(intervals)
     ivs = sorted(fam)
     for lo, hi in ivs:
@@ -527,10 +528,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
     results are the same.  The order and cap are checked before it is
     read, and a walk of another order is a ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the identity-check cap {cap}")
+    _check_order(n, cap, "identity-check")
     simple_masks: set[int] = set()
     fails: dict[str, str | None] = {"simple-share-poset": None,
                                     "overlap-closure": None,

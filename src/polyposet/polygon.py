@@ -11,18 +11,20 @@ combinatorially: a chord enters the hull interior iff face vertices lie
 strictly on both sides of it (equivalently, its endpoints do not share a
 closed arc between consecutive face vertices).
 
-Predicates and searches read one bitmask table per m, built on first use
-(bit i is the i-th diagonal in lexicographic order), so each predicate is a
-few integer ANDs on ``Dissection.mask``.  Their per-call originals are kept
-as the reference in ``tests/oracles.py``.
+Predicates and the framed search read one bitmask table per m, built on
+first use (bit i is the i-th diagonal in lexicographic order), so each
+predicate is a few integer ANDs on ``Dissection.mask``.  Their per-call
+originals are kept as the reference in ``tests/oracles.py``.
 
-Enumeration is exhaustive and deterministic.  Non-crossing classes run a
-backtracking search over diagonals in lexicographic order, pruning on
-crossings (sound: adding a diagonal never removes a crossing) and tracking
-face sizes incrementally.  The diagonally framed class admits crossings, so
-neither of its predicates is monotone; there a three-state decided/undecided
-search prunes each violation as soon as its last chord is decided, which
-makes every leaf a member of the class.
+Enumeration is exhaustive and deterministic.  Non-crossing classes are
+built face by face, without the table: the face on the side (1, m) takes
+its other vertices from 2..m-1, has a size the class allows (3 or at least
+5, or at least 5 when triangles are forbidden too), and each gap between
+consecutive face vertices is the smaller polygon on that chord, built the
+same way.  The diagonally framed class admits crossings, so neither of its
+predicates is monotone; there a three-state decided/undecided search
+prunes each violation as soon as its last chord is decided, which makes
+every leaf a member of the class.
 """
 from __future__ import annotations
 
@@ -200,9 +202,11 @@ def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
 
 def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
     """The regions of a non-crossing dissection, each as its ascending
-    vertex tuple, sorted.  Splits recursively on any inner diagonal; only
-    meaningful when ``is_noncrossing(D)`` holds.
+    vertex tuple, sorted.  Splits recursively on any inner diagonal; a
+    dissection with crossing diagonals is a ``ValueError``.
     """
+    if not is_noncrossing(D):
+        raise ValueError("dissection has crossing diagonals")
     faces = []
 
     def split(region: tuple[int, ...], chords: list[tuple[int, int]]):
@@ -252,49 +256,23 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
 
 
 def _enumerate_noncrossing(m: int, tri_free: bool) -> list[frozenset[tuple[int, int]]]:
-    """Backtracking over diagonals in lex order with crossing pruning; face
-    sizes are maintained incrementally (each added diagonal splits exactly
-    one face in two)."""
-    diags = all_diagonals(m)
-    d = len(diags)
-    cross = _table(m).cross
+    """The root-face construction (see the module docstring): ``inside(a,
+    b)`` is every class member's diagonals strictly inside the polygon a..b,
+    cached for this call only.  Only class members are built, each once."""
+    sizes = [k for k in range(5 if tri_free else 3, m + 1) if k != 4]
 
-    def badness(face: tuple[int, ...]) -> int:
-        size = len(face)
-        return int(size == 4 or (tri_free and size == 3))
+    @functools.cache
+    def inside(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
+        out = []
+        for k in sizes:
+            for inner in itertools.combinations(range(a + 1, b), k - 2):
+                face = (a, *inner, b)
+                gaps = [[((u, v), *rest) for rest in inside(u, v)]
+                        for u, v in zip(face, face[1:]) if v - u >= 2]
+                out.extend(sum(pick, ()) for pick in itertools.product(*gaps))
+        return out
 
-    whole = tuple(range(1, m + 1))
-    faces: list[tuple[int, ...]] = [whole]
-    found: list[frozenset[tuple[int, int]]] = []
-    chosen: list[tuple[int, int]] = []
-    bad = badness(whole)
-
-    def dfs(start: int, banned: int, bad: int):
-        if bad == 0:
-            found.append(frozenset(chosen))
-        for idx in range(start, d):
-            if banned >> idx & 1:
-                continue
-            u, v = diags[idx]
-            for fi, face in enumerate(faces):
-                if u in face and v in face:
-                    break
-            else:
-                raise AssertionError("diagonal fits no face")
-            iu, iv = face.index(u), face.index(v)
-            left = face[iu:iv + 1]
-            right = face[:iu + 1] + face[iv:]
-            delta = badness(left) + badness(right) - badness(face)
-            faces[fi] = left
-            faces.append(right)
-            chosen.append((u, v))
-            dfs(idx + 1, banned | cross[idx], bad + delta)
-            chosen.pop()
-            faces.pop()
-            faces[fi] = face
-
-    dfs(0, 0, bad)
-    return found
+    return [frozenset(chords) for chords in inside(1, m)]
 
 
 def _enumerate_framed_quadfree(m: int) -> list[frozenset[tuple[int, int]]]:

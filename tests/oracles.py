@@ -8,6 +8,8 @@ arc rule tested vertex tuple by vertex tuple, framedness and crossings by
 pairwise chord tests instead of the polygon module's per-m bitmask table,
 class enumeration by naive filtration of every diagonal subset through
 those per-call predicates, the framed search by its leaf-checking original,
+the non-crossing root-face construction by the backtracking search over
+every non-crossing dissection that it replaced,
 realization by scanning entire symmetric groups, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
 by those per-member children, the poset census by filtering whole
@@ -444,6 +446,56 @@ def oracle_framed_quadfree_search(m: int) -> list[frozenset[tuple[int, int]]]:
     # the undissected polygon is itself a forbidden quadrilateral at m = 4
     if not any(pens == 0 for _, pens in outer_quads):
         dfs(0, 0, 0)
+    return found
+
+
+def oracle_noncrossing_search(m: int, tri_free: bool) \
+        -> list[frozenset[tuple[int, int]]]:
+    """The non-crossing class search as it was before the root-face
+    construction: backtracking over every non-crossing dissection, diagonals
+    in lex order with crossing pruning (crossings by pairwise chord tests
+    here), face sizes maintained incrementally (each added diagonal splits
+    exactly one face in two), a dissection kept when no face is bad.
+    Results come in search order."""
+    diags = all_diagonals(m)
+    d = len(diags)
+    cross = [sum(1 << j for j in range(d) if chords_cross(diags[i], diags[j]))
+             for i in range(d)]
+
+    def badness(face: tuple[int, ...]) -> int:
+        size = len(face)
+        return int(size == 4 or (tri_free and size == 3))
+
+    whole = tuple(range(1, m + 1))
+    faces: list[tuple[int, ...]] = [whole]
+    found: list[frozenset[tuple[int, int]]] = []
+    chosen: list[tuple[int, int]] = []
+
+    def dfs(start: int, banned: int, bad: int):
+        if bad == 0:
+            found.append(frozenset(chosen))
+        for idx in range(start, d):
+            if banned >> idx & 1:
+                continue
+            u, v = diags[idx]
+            for fi, face in enumerate(faces):
+                if u in face and v in face:
+                    break
+            else:
+                raise AssertionError("diagonal fits no face")
+            iu, iv = face.index(u), face.index(v)
+            left = face[iu:iv + 1]
+            right = face[:iu + 1] + face[iv:]
+            delta = badness(left) + badness(right) - badness(face)
+            faces[fi] = left
+            faces.append(right)
+            chosen.append((u, v))
+            dfs(idx + 1, banned | cross[idx], bad + delta)
+            chosen.pop()
+            faces.pop()
+            faces[fi] = face
+
+    dfs(0, 0, badness(whole))
     return found
 
 

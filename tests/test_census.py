@@ -422,6 +422,25 @@ def test_walk_all_cap():
     assert walk_all(3, cap=3).n == 3
 
 
+def test_order_and_cap_messages():
+    for call, message in (
+            (lambda: walk_all(9), "n=9 exceeds the census cap 8 for all"),
+            (lambda: distinct_posets(9, Family.TREE),
+             "n=9 exceeds the census cap 8 for tree"),
+            (lambda: check_identities(9),
+             "n=9 exceeds the identity-check cap 8"),
+            (lambda: realize([], 9), "n=9 exceeds the realization cap 8")):
+        with pytest.raises(CapExceeded) as err:
+            call()
+        assert str(err.value) == message
+    for call in (lambda: walk_all(0), lambda: check_identities(0),
+                 lambda: realize([], 0),
+                 lambda: run_census(Family.ALL, 3, min_n=0)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "order must be at least 1"
+
+
 # ---------------------------------------------------------------------------
 # b-files
 # ---------------------------------------------------------------------------

@@ -4,19 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyposet.census import load_bfile
 from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                all_diagonals, chords_cross, crossing_pairs,
                                empty_faces, enumerate_dissections,
                                faces_of_noncrossing, is_diagonally_framed,
                                is_noncrossing, parse_dissection_text,
                                satisfies_class, write_dissection_text)
-from polyposet.polygon import _enumerate_framed_quadfree
+from polyposet.polygon import _enumerate_framed_quadfree, \
+    _enumerate_noncrossing
 
 from oracles import (geometric_empty_faces, naive_class_dissections,
                      oracle_arc_empty_faces, oracle_crossing_pairs,
                      oracle_framed_quadfree_search,
                      oracle_is_diagonally_framed, oracle_is_noncrossing,
-                     oracle_satisfies_class)
+                     oracle_noncrossing_search, oracle_satisfies_class)
 
 
 def dis(m, *chords):
@@ -101,6 +103,13 @@ def test_faces_of_noncrossing():
         [(1, 2, 3), (1, 3, 5), (1, 5, 6), (3, 4, 5)]
 
 
+def test_faces_of_noncrossing_rejects_crossings():
+    with pytest.raises(ValueError, match="crossing diagonals"):
+        faces_of_noncrossing(dis(4, (1, 3), (2, 4)))
+    with pytest.raises(ValueError, match="crossing diagonals"):
+        faces_of_noncrossing(dis(6, (1, 3), (1, 4), (2, 5)))
+
+
 @given(dissections)
 @settings(max_examples=150)
 def test_arc_rule_matches_geometric_oracle(D):
@@ -173,6 +182,32 @@ def test_framed_search_matches_leaf_checking_original(m):
     assert [D.diagonals for D in enumerate_dissections(
         m, DissectionClass.FRAMED_QUAD_FREE)] \
         == sorted(fast, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("m", range(4, 12))
+@pytest.mark.parametrize("clazz", [DissectionClass.NONCROSSING_QUAD_FREE,
+                                   DissectionClass.NONCROSSING_TRI_QUAD_FREE])
+def test_noncrossing_construction_matches_old_search(clazz, m):
+    # the root-face construction builds exactly the dissections the
+    # backtracking search over all non-crossing dissections kept, each once
+    tri_free = clazz is DissectionClass.NONCROSSING_TRI_QUAD_FREE
+    built = _enumerate_noncrossing(m, tri_free)
+    searched = oracle_noncrossing_search(m, tri_free)
+    assert len(set(built)) == len(built)
+    assert len(set(searched)) == len(searched)
+    assert set(built) == set(searched)
+    assert [D.diagonals for D in enumerate_dissections(m, clazz)] \
+        == sorted(searched, key=lambda s: (len(s), sorted(s)))
+
+
+def test_tri_quad_free_counts_past_the_cap_match_reference(fixtures_dir):
+    # A054514 at offset 3 (index k is order k + 3, paired with the
+    # (k + 4)-gon); the census stops at order 10, so orders 11..13 are
+    # checked on the dissection side alone, at m = 12..14
+    with open(fixtures_dir / "b054514.txt", encoding="utf-8") as handle:
+        reference = dict(load_bfile(handle))
+    for n in (11, 12, 13):
+        assert len(_enumerate_noncrossing(n + 1, True)) == reference[n - 3]
 
 
 def test_enumerate_square_framed_order():
