@@ -11,20 +11,20 @@ combinatorially: a chord enters the hull interior iff face vertices lie
 strictly on both sides of it (equivalently, its endpoints do not share a
 closed arc between consecutive face vertices).
 
-Predicates and the framed search read one bitmask table per m, built on
-first use (bit i is the i-th diagonal in lexicographic order), so each
-predicate is a few integer ANDs on ``Dissection.mask``.  Their per-call
-originals are kept as the reference in ``tests/oracles.py``.
+The predicates read one bitmask table per m, built on first use (bit i
+is the i-th diagonal in lexicographic order), so each predicate is a few
+integer ANDs on ``Dissection.mask``.  Their per-call originals are kept as
+the reference in ``tests/oracles.py``.
 
-Enumeration is exhaustive and deterministic.  Non-crossing classes are
-built face by face, without the table: the face on the side (1, m) takes
-its other vertices from 2..m-1, has a size the class allows (3 or at least
-5, or at least 5 when triangles are forbidden too), and each gap between
-consecutive face vertices is the smaller polygon on that chord, built the
-same way.  The diagonally framed class admits crossings, so neither of its
-predicates is monotone; there a three-state decided/undecided search
-prunes each violation as soon as its last chord is decided, which makes
-every leaf a member of the class.
+Enumeration is exhaustive and deterministic, and every class is built face
+by face, without the table.  The face on the side (1, m) takes its other
+vertices from 2..m-1, and each gap between consecutive face vertices is
+the smaller polygon on that chord, built the same way.  A face is one of
+three kinds: a triangle (never in the tri-free class), an empty k-gon with
+k >= 5, or, in the framed class only, a complete k-gon with k >= 4, whose
+vertices are joined pairwise by chords.  A complete face's chords cross
+only inside it and frame each other, and the kinds mirror the linear and
+prime nodes of the substitution decomposition of the paired posets.
 """
 from __future__ import annotations
 
@@ -76,6 +76,9 @@ class Dissection:
     diagonals: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        # any collection is stored as a frozenset, so duplicates collapse
+        # and the instance hashes; a frozenset is kept as the same object
+        object.__setattr__(self, "diagonals", frozenset(self.diagonals))
         if self.m < 2:
             raise ValueError("polygon needs m >= 2")
         for u, v in self.diagonals:
@@ -255,92 +258,33 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
             and not (tri_free and D.m > 3 and empty_faces(D, 3)))
 
 
-def _enumerate_noncrossing(m: int, tri_free: bool) -> list[frozenset[tuple[int, int]]]:
+def _enumerate(m: int, clazz: DissectionClass) -> list[frozenset[tuple[int, int]]]:
     """The root-face construction (see the module docstring): ``inside(a,
     b)`` is every class member's diagonals strictly inside the polygon a..b,
     cached for this call only.  Only class members are built, each once."""
-    sizes = [k for k in range(5 if tri_free else 3, m + 1) if k != 4]
+    noncrossing, tri_free = _class_flags(clazz)
+    kinds = [(k, False) for k in range(5 if tri_free else 3, m + 1) if k != 4]
+    if not noncrossing:
+        kinds += [(k, True) for k in range(4, m + 1)]
+    # one tuple per chord, shared by every member that holds it
+    chord = [[(u, v) for v in range(m + 1)] for u in range(m + 1)]
 
     @functools.cache
     def inside(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
         out = []
-        for k in sizes:
+        for k, complete in kinds:
             for inner in itertools.combinations(range(a + 1, b), k - 2):
                 face = (a, *inner, b)
-                gaps = [[((u, v), *rest) for rest in inside(u, v)]
+                own = ()
+                if complete:  # every vertex pair that is not a face side
+                    own = tuple(chord[u][v] for i, u in enumerate(face)
+                                for v in face[i + 2:] if (u, v) != (a, b))
+                gaps = [[(chord[u][v], *rest) for rest in inside(u, v)]
                         for u, v in zip(face, face[1:]) if v - u >= 2]
-                out.extend(sum(pick, ()) for pick in itertools.product(*gaps))
+                out.extend(sum(pick, own) for pick in itertools.product(*gaps))
         return out
 
     return [frozenset(chords) for chords in inside(1, m)]
-
-
-def _enumerate_framed_quadfree(m: int) -> list[frozenset[tuple[int, int]]]:
-    """Decided/undecided search for the framed quad-free class.
-
-    Framedness and quad-freeness are not monotone under adding diagonals, so
-    a branch is cut only when a violation is certain from decided chords: a
-    crossing pair both included whose frame diagonal is excluded, or a
-    4-tuple with all sides included and all penetrators excluded.  Each
-    violation is tested as its last chord is decided, so every leaf is in
-    the class; ``tests/oracles.py`` keeps the leaf-checking original.
-    """
-    table = _table(m)
-    diags = all_diagonals(m)
-    d = len(diags)
-
-    # per diagonal: its crossing partners with their frame, and the
-    # crossing pairs whose frame needs it
-    partners: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    req_pairs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for pair, frame in table.frames:
-        i, j = _bits(pair)
-        partners[i].append((1 << j, frame))
-        partners[j].append((1 << i, frame))
-        for k in _bits(frame):
-            req_pairs[k].append((pair, frame))
-
-    # per diagonal: the 4-tuples it is a side of, and those it penetrates
-    side_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    pen_quads: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for _, sides, pens in table.faces[4]:
-        for k in _bits(sides):
-            side_quads[k].append((sides, pens))
-        for k in _bits(pens):
-            pen_quads[k].append((sides, pens))
-
-    found: list[frozenset[tuple[int, int]]] = []
-
-    def dfs(k: int, inc: int, exc: int):
-        if k == d:
-            found.append(frozenset(diags[i] for i in _bits(inc)))
-            return
-        bit = 1 << k
-        # exclude k
-        exc2 = exc | bit
-        ok = all(inc & pb != pb for pb, _ in req_pairs[k])
-        if ok:
-            for sides, pens in pen_quads[k]:
-                if sides & inc == sides and pens & ~exc2 == 0:
-                    ok = False
-                    break
-        if ok:
-            dfs(k + 1, inc, exc2)
-        # include k
-        inc2 = inc | bit
-        ok = all(not (inc & pb) or not (req & exc) for pb, req in partners[k])
-        if ok:
-            for sides, pens in side_quads[k]:
-                if sides & inc2 == sides and pens & ~exc == 0:
-                    ok = False
-                    break
-        if ok:
-            dfs(k + 1, inc2, exc)
-
-    # the undissected polygon is itself a forbidden quadrilateral at m = 4
-    if not any(sides == 0 and pens == 0 for _, sides, pens in table.faces[4]):
-        dfs(0, 0, 0)
-    return found
 
 
 def check_dissection_cap(m: int, clazz: DissectionClass,
@@ -369,7 +313,7 @@ def enumerate_dissections(m: int, clazz: DissectionClass,
     ...  enumerate_dissections(4, DissectionClass.FRAMED_QUAD_FREE)]
     [[(1, 3)], [(2, 4)], [(1, 3), (2, 4)]]
     """
-    noncrossing, tri_free = _class_flags(clazz)
+    _class_flags(clazz)  # an unknown class is refused before anything else
     if m < 2:
         raise ValueError("polygon needs m >= 2")
     check_dissection_cap(m, clazz, cap)
@@ -378,11 +322,8 @@ def enumerate_dissections(m: int, clazz: DissectionClass,
         # rule (the class is consulted from order 4 on)
         yield Dissection(m, frozenset())
         return
-    if noncrossing:
-        found = _enumerate_noncrossing(m, tri_free)
-    else:
-        found = _enumerate_framed_quadfree(m)
-    for chosen in sorted(found, key=lambda s: (len(s), sorted(s))):
+    for chosen in sorted(_enumerate(m, clazz),
+                         key=lambda s: (len(s), sorted(s))):
         yield Dissection(m, chosen)
 
 

@@ -31,6 +31,9 @@ class IntervalPoset:
     intervals: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        # any collection is stored as a frozenset, so duplicates collapse
+        # and the instance hashes; a frozenset is kept as the same object
+        object.__setattr__(self, "intervals", frozenset(self.intervals))
         n = self.n
         if n < 1:
             raise ValueError("poset needs n >= 1")

@@ -347,11 +347,11 @@ def naive_class_dissections(m: int, clazz: DissectionClass) \
 
 
 def oracle_framed_quadfree_search(m: int) -> list[frozenset[tuple[int, int]]]:
-    """The framed quad-free decided/undecided search as it was before the
-    polygon table: crossing, frame and arc masks built here, and every leaf
-    re-validated by ``oracle_is_diagonally_framed`` and
-    ``oracle_arc_empty_faces`` before it is reported (m >= 4).  Results come
-    in search order."""
+    """The framed quad-free decided/undecided search, which the root-face
+    construction replaced, as it was before the polygon table: crossing,
+    frame and arc masks built here, and every leaf re-validated by
+    ``oracle_is_diagonally_framed`` and ``oracle_arc_empty_faces`` before
+    it is reported (m >= 4).  Results come in search order."""
     diags = all_diagonals(m)
     d = len(diags)
     index = {c: i for i, c in enumerate(diags)}

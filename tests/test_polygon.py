@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyposet.census import load_bfile
+from polyposet.census import Family, distinct_posets, load_bfile
 from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                all_diagonals, chords_cross, crossing_pairs,
                                empty_faces, enumerate_dissections,
                                faces_of_noncrossing, is_diagonally_framed,
                                is_noncrossing, parse_dissection_text,
                                satisfies_class, write_dissection_text)
-from polyposet.polygon import _enumerate_framed_quadfree, \
-    _enumerate_noncrossing
+from polyposet.polygon import _enumerate
 
 from oracles import (geometric_empty_faces, naive_class_dissections,
                      oracle_arc_empty_faces, oracle_crossing_pairs,
@@ -173,15 +172,37 @@ def test_mask_is_cached_and_leaves_equality_alone():
     assert D != dis(6, (1, 3))
 
 
+def test_diagonals_of_any_collection_are_stored_as_a_frozenset():
+    # a list with a duplicate once summed the repeated bit into the next
+    # diagonal's, and a set made the dissection unhashable
+    D = dis(5, (1, 3))
+    for diagonals in ([(1, 3), (1, 3)], {(1, 3)}):
+        other = Dissection(5, diagonals)
+        assert other == D and hash(other) == hash(D)
+        assert other.mask == D.mask
+        assert empty_faces(other, 4) == empty_faces(D, 4) == [(1, 3, 4, 5)]
+        assert faces_of_noncrossing(other) == faces_of_noncrossing(D)
+
+
 @pytest.mark.parametrize("m", range(4, 10))
 def test_framed_search_matches_leaf_checking_original(m):
-    # same diagonal sets in the same search order, and each leaf the
-    # original would have re-validated is in the class without the check
-    fast = _enumerate_framed_quadfree(m)
-    assert fast == oracle_framed_quadfree_search(m)
+    # the root-face construction builds exactly the dissections the
+    # decided/undecided search with leaf re-validation found, each once
+    built = _enumerate(m, DissectionClass.FRAMED_QUAD_FREE)
+    searched = oracle_framed_quadfree_search(m)
+    assert len(set(built)) == len(built)
+    assert len(set(searched)) == len(searched)
+    assert set(built) == set(searched)
     assert [D.diagonals for D in enumerate_dissections(
         m, DissectionClass.FRAMED_QUAD_FREE)] \
-        == sorted(fast, key=lambda s: (len(s), sorted(s)))
+        == sorted(searched, key=lambda s: (len(s), sorted(s)))
+
+
+def test_framed_count_past_the_cap_matches_all_posets():
+    # the first all-family pairing past FRAMED_CAP: the 10-gon's framed
+    # quad-free dissections against the all-poset scan at order 9
+    assert len(_enumerate(10, DissectionClass.FRAMED_QUAD_FREE)) \
+        == distinct_posets(9, Family.ALL, cap=9)
 
 
 @pytest.mark.parametrize("m", range(4, 12))
@@ -191,7 +212,7 @@ def test_noncrossing_construction_matches_old_search(clazz, m):
     # the root-face construction builds exactly the dissections the
     # backtracking search over all non-crossing dissections kept, each once
     tri_free = clazz is DissectionClass.NONCROSSING_TRI_QUAD_FREE
-    built = _enumerate_noncrossing(m, tri_free)
+    built = _enumerate(m, clazz)
     searched = oracle_noncrossing_search(m, tri_free)
     assert len(set(built)) == len(built)
     assert len(set(searched)) == len(searched)
@@ -207,7 +228,8 @@ def test_tri_quad_free_counts_past_the_cap_match_reference(fixtures_dir):
     with open(fixtures_dir / "b054514.txt", encoding="utf-8") as handle:
         reference = dict(load_bfile(handle))
     for n in (11, 12, 13):
-        assert len(_enumerate_noncrossing(n + 1, True)) == reference[n - 3]
+        built = _enumerate(n + 1, DissectionClass.NONCROSSING_TRI_QUAD_FREE)
+        assert len(built) == reference[n - 3]
 
 
 def test_enumerate_square_framed_order():

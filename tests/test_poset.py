@@ -36,6 +36,14 @@ def test_poset_requires_trivial_intervals():
         IntervalPoset(2, frozenset({(1, 1), (2, 2), (1, 2), (0, 1)}))
 
 
+def test_intervals_of_any_collection_are_stored_as_a_frozenset():
+    P = IntervalPoset(3, frozenset({(1, 1), (2, 2), (3, 3), (1, 3)}))
+    for intervals in ([(1, 1), (2, 2), (3, 3), (1, 3), (1, 3)],
+                      {(1, 1), (2, 2), (3, 3), (1, 3)}):
+        other = IntervalPoset(3, intervals)
+        assert other == P and hash(other) == hash(P) and len(other) == 4
+
+
 def test_poset_of_2413():
     P = poset_of(parse_permutation("2413"))
     assert sorted(P.intervals) == [(1, 1), (1, 4), (2, 2), (3, 3), (4, 4)]
