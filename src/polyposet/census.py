@@ -42,8 +42,7 @@ from .perm import Permutation
 from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
                       enumerate_dissections)
 from .poset import (IntervalPoset, _closure_violation, _is_laminar,
-                    _three_descendant_violation, _trivial_intervals,
-                    key_of_family)
+                    _three_descendant_violation, key_of_family)
 
 
 class Family(enum.Enum):
@@ -418,11 +417,14 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     equals the given family, or None.  An interval outside 1..n is an input
     error (``ValueError``), not an unrealizable family.
 
-    Backtracking places values left to right.  Two prunes keep it sharp and
-    exact: a value may be placed only if it belongs to every partially
-    placed family interval (members of an interval must occupy consecutive
-    positions), and every completed window that forms a block must appear
-    in the family.  Together they make leaves exactly the realizers.
+    A prefix DFS in the scan's layout places values left to right in
+    increasing order.  ``allowed`` is the family as a bitmask with bit
+    ``lo * (n + 1) + hi`` per interval, ``spans`` the value bitmask of each
+    interval of two or more values, and ``used`` the values placed so far.
+    Two prunes make leaves exactly the realizers: the candidates are the
+    unused values inside every span that is partly used (the values of an
+    interval occupy consecutive positions), and a candidate is rejected when
+    a window ending at it forms a block whose bit is not in ``allowed``.
 
     >>> singles = {(i, i) for i in range(1, 5)}
     >>> str(realize(singles | {(1, 4)}, 4))
@@ -431,67 +433,49 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     True
     """
     _check_order(n, cap, "realization")
-    fam = frozenset(intervals)
-    ivs = sorted(fam)
-    for lo, hi in ivs:
+    width = n + 1
+    allowed = 0
+    spans = []
+    for lo, hi in sorted(set(intervals)):
         if not (1 <= lo <= hi <= n):
             raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
-    if not _trivial_intervals(n) <= fam:
+        allowed |= 1 << (lo * width + hi)
+        if lo < hi:
+            spans.append((1 << hi + 1) - (1 << lo))
+    # the singletons and (1, n), which every permutation has
+    trivial = sum(1 << (v * width + v) for v in range(1, n + 1))
+    trivial |= 1 << (width + n)
+    if allowed & trivial != trivial:
         return None
+    entries = [0] * n
+    values = (1 << width) - 2
 
-    sizes = [hi - lo + 1 for lo, hi in ivs]
-    members: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, (lo, hi) in enumerate(ivs):
-        if sizes[idx] > 1:
-            for v in range(lo, hi + 1):
-                members[v].append(idx)
-
-    placed = [0] * len(ivs)
-    open_count = 0
-    entries: list[int] = []
-    used = [False] * (n + 1)
-
-    def extend() -> bool:
-        nonlocal open_count
-        k = len(entries)
+    def extend(k: int, used: int) -> bool:
         if k == n:
             return True
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            open_with_v = sum(1 for idx in members[v]
-                              if 0 < placed[idx] < sizes[idx])
-            if open_with_v != open_count:
-                continue
-            entries.append(v)
-            used[v] = True
-            delta = 0
-            for idx in members[v]:
-                if placed[idx] == 0:
-                    delta += 1
-                elif placed[idx] == sizes[idx] - 1:
-                    delta -= 1
-                placed[idx] += 1
-            open_count += delta
-            ok = True
-            mn = mx = v
+        free = values & ~used
+        for span in spans:
+            if 0 < span & used != span:
+                free &= span
+        while free:
+            bit = free & -free
+            free ^= bit
+            lo = hi = v = bit.bit_length() - 1
             for i in range(k - 1, -1, -1):
                 e = entries[i]
-                mn = e if e < mn else mn
-                mx = e if e > mx else mx
-                if mx - mn == k - i and (mn, mx) not in fam:
-                    ok = False
+                if e < lo:
+                    lo = e
+                elif e > hi:
+                    hi = e
+                if hi - lo == k - i and not allowed >> (lo * width + hi) & 1:
                     break
-            if ok and extend():
-                return True
-            open_count -= delta
-            for idx in members[v]:
-                placed[idx] -= 1
-            entries.pop()
-            used[v] = False
+            else:
+                entries[k] = v
+                if extend(k + 1, used | bit):
+                    return True
         return False
 
-    if extend():
+    if extend(0, 0):
         return Permutation(tuple(entries))
     return None
 
@@ -633,8 +617,9 @@ class SequenceComparison:
         return all(row[4] for row in self.rows)
 
     def to_text(self) -> str:
+        sign = "-" if self.offset < 0 else "+"
         lines = [f"alignment: sequence index k corresponds to order "
-                 f"n = k + {self.offset}",
+                 f"n = k {sign} {abs(self.offset)}",
                  f"{'n':>4}  {'census':>8}  {'k':>4}  {'reference':>9}  match"]
         for n, count, k, expected, match in self.rows:
             k_text = "-" if k is None else str(k)

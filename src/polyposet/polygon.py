@@ -259,32 +259,33 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
 
 
 def _enumerate(m: int, clazz: DissectionClass) -> list[frozenset[tuple[int, int]]]:
-    """The root-face construction (see the module docstring): ``inside(a,
-    b)`` is every class member's diagonals strictly inside the polygon a..b,
-    cached for this call only.  Only class members are built, each once."""
+    """The root-face construction (see the module docstring): ``inside[a,
+    b]`` is every class member's diagonals strictly inside the polygon a..b,
+    built for the smaller polygons first.  Only class members are built,
+    each once, and the table is a plain local dict, so it is freed when the
+    call returns."""
     noncrossing, tri_free = _class_flags(clazz)
     kinds = [(k, False) for k in range(5 if tri_free else 3, m + 1) if k != 4]
     if not noncrossing:
         kinds += [(k, True) for k in range(4, m + 1)]
     # one tuple per chord, shared by every member that holds it
     chord = [[(u, v) for v in range(m + 1)] for u in range(m + 1)]
-
-    @functools.cache
-    def inside(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
-        out = []
-        for k, complete in kinds:
-            for inner in itertools.combinations(range(a + 1, b), k - 2):
-                face = (a, *inner, b)
-                own = ()
-                if complete:  # every vertex pair that is not a face side
-                    own = tuple(chord[u][v] for i, u in enumerate(face)
-                                for v in face[i + 2:] if (u, v) != (a, b))
-                gaps = [[(chord[u][v], *rest) for rest in inside(u, v)]
-                        for u, v in zip(face, face[1:]) if v - u >= 2]
-                out.extend(sum(pick, own) for pick in itertools.product(*gaps))
-        return out
-
-    return [frozenset(chords) for chords in inside(1, m)]
+    inside: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    for b in range(3, m + 1):
+        for a in range(b - 2, 0, -1):  # every gap of a..b is built by now
+            out = inside[a, b] = []
+            for k, complete in kinds:
+                for inner in itertools.combinations(range(a + 1, b), k - 2):
+                    face = (a, *inner, b)
+                    own = ()
+                    if complete:  # every vertex pair that is not a face side
+                        own = tuple(chord[u][v] for i, u in enumerate(face)
+                                    for v in face[i + 2:] if (u, v) != (a, b))
+                    gaps = [[(chord[u][v], *rest) for rest in inside[u, v]]
+                            for u, v in zip(face, face[1:]) if v - u >= 2]
+                    out.extend(sum(pick, own)
+                               for pick in itertools.product(*gaps))
+    return [frozenset(chords) for chords in inside[1, m]]
 
 
 def check_dissection_cap(m: int, clazz: DissectionClass,

@@ -9,8 +9,9 @@ pairwise chord tests instead of the polygon module's per-m bitmask table,
 class enumeration by naive filtration of every diagonal subset through
 those per-call predicates, the framed search by its leaf-checking original,
 the non-crossing root-face construction by the backtracking search over
-every non-crossing dissection that it replaced,
-realization by scanning entire symmetric groups, tree posets by counting
+every non-crossing dissection that it replaced, realization by scanning
+entire symmetric groups and by the backtracking search with per-interval
+counters that the bitmask search replaced, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
 by those per-member children, the poset census by filtering whole
 permutations instead of pruning prefixes, the identity checks by a
@@ -33,7 +34,8 @@ from polyposet.perm import Permutation, _intervals_of_entries, \
 from polyposet.polygon import CapExceeded, Dissection, DissectionClass, \
     all_diagonals, chords_cross, is_outer_edge
 from polyposet.poset import IntervalPoset, _closure_violation, \
-    _is_laminar, _three_descendant_violation, key_of_family
+    _is_laminar, _three_descendant_violation, _trivial_intervals, \
+    key_of_family
 
 EPS = 1e-9
 
@@ -80,6 +82,79 @@ def oracle_realizers(family, n: int) -> list[tuple[int, ...]]:
     fam = set(family)
     return [p for p in itertools.permutations(range(1, n + 1))
             if oracle_intervals(p) == fam]
+
+
+def oracle_realize_backtrack(intervals, n: int) -> Permutation | None:
+    """Lexicographically smallest realizer of the family, or None, by the
+    backtracking search that ``census.realize`` replaced: per-interval
+    counts of placed members, a value allowed only if it belongs to every
+    partly placed interval (found by counting the open intervals holding
+    it), and every completed block looked up in the family set.  An
+    interval outside 1..n is a ``ValueError``; there is no order cap.
+    """
+    fam = frozenset(intervals)
+    ivs = sorted(fam)
+    for lo, hi in ivs:
+        if not (1 <= lo <= hi <= n):
+            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
+    if not _trivial_intervals(n) <= fam:
+        return None
+
+    sizes = [hi - lo + 1 for lo, hi in ivs]
+    members: list[list[int]] = [[] for _ in range(n + 1)]
+    for idx, (lo, hi) in enumerate(ivs):
+        if sizes[idx] > 1:
+            for v in range(lo, hi + 1):
+                members[v].append(idx)
+
+    placed = [0] * len(ivs)
+    open_count = 0
+    entries: list[int] = []
+    used = [False] * (n + 1)
+
+    def extend() -> bool:
+        nonlocal open_count
+        k = len(entries)
+        if k == n:
+            return True
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            open_with_v = sum(1 for idx in members[v]
+                              if 0 < placed[idx] < sizes[idx])
+            if open_with_v != open_count:
+                continue
+            entries.append(v)
+            used[v] = True
+            delta = 0
+            for idx in members[v]:
+                if placed[idx] == 0:
+                    delta += 1
+                elif placed[idx] == sizes[idx] - 1:
+                    delta -= 1
+                placed[idx] += 1
+            open_count += delta
+            ok = True
+            mn = mx = v
+            for i in range(k - 1, -1, -1):
+                e = entries[i]
+                mn = e if e < mn else mn
+                mx = e if e > mx else mx
+                if mx - mn == k - i and (mn, mx) not in fam:
+                    ok = False
+                    break
+            if ok and extend():
+                return True
+            open_count -= delta
+            for idx in members[v]:
+                placed[idx] -= 1
+            entries.pop()
+            used[v] = False
+        return False
+
+    if extend():
+        return Permutation(tuple(entries))
+    return None
 
 
 def _inside(outer, inner) -> bool:

@@ -19,9 +19,11 @@ from polyposet import (
     compare_with_bfile,
     count_dissections,
     distinct_posets,
+    enumerate_dissections,
     load_bfile,
     MalformedLine,
     parse_permutation,
+    phi_inverse,
     poset_census,
     poset_of,
     realize,
@@ -32,7 +34,8 @@ from polyposet import (
 import polyposet.census as census
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
-    oracle_has_sum_interval, oracle_poset_census, oracle_realizers
+    oracle_has_sum_interval, oracle_poset_census, oracle_realize_backtrack, \
+    oracle_realizers
 
 
 FAN_FAMILY = frozenset(
@@ -285,6 +288,37 @@ def test_realize_prefers_lexicographically_smallest():
     # 3142 and 2413 share a poset; the smaller one comes back
     fam = frozenset(all_intervals(parse_permutation("3142")))
     assert str(realize(fam, 4)) == "2413"
+
+
+@pytest.mark.parametrize("clazz, top_m", [
+    (DissectionClass.FRAMED_QUAD_FREE, 8),
+    (DissectionClass.NONCROSSING_QUAD_FREE, 9),
+    (DissectionClass.NONCROSSING_TRI_QUAD_FREE, 11),
+], ids=lambda arg: getattr(arg, "value", arg))
+def test_realize_matches_backtracking_on_class_pullbacks(clazz, top_m):
+    for m in range(2, top_m + 1):
+        for d in enumerate_dissections(m, clazz):
+            p = phi_inverse(d)
+            assert realize(p.intervals, p.n, cap=p.n) \
+                == oracle_realize_backtrack(p.intervals, p.n), d
+
+
+@st.composite
+def trivial_plus_proper(draw):
+    """The trivial intervals of an order up to 8 plus random proper ones;
+    most such families have no realizer."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+              if (a, b) != (1, n)]
+    extra = draw(st.sets(st.sampled_from(proper))) if proper else set()
+    return n, {(i, i) for i in range(1, n + 1)} | {(1, n)} | extra
+
+
+@settings(max_examples=300)
+@given(trivial_plus_proper())
+def test_realize_matches_backtracking_on_random_families(case):
+    n, fam = case
+    assert realize(fam, n) == oracle_realize_backtrack(fam, n)
 
 
 # ---------------------------------------------------------------------------

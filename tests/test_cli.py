@@ -237,6 +237,17 @@ def test_census_against_blockwise_fixture(fixtures_dir, capsys):
     assert "n = k + 3" in out_of(capsys)
 
 
+def test_census_alignment_header_with_negative_offset(tmp_path, capsys):
+    shifted = tmp_path / "shifted.txt"
+    shifted.write_text("2 1\n3 1\n4 3\n5 12\n", encoding="utf-8")
+    assert run(["census", "--max-n", "4", "--class", "all",
+                "--oeis", str(shifted), "--offset", "-1"]) == 0
+    text = out_of(capsys)
+    assert "alignment: sequence index k corresponds to order n = k - 1" \
+        in text
+    assert "+ -" not in text
+
+
 def test_census_reference_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n2 1\n3 99\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -196,6 +197,17 @@ def test_framed_search_matches_leaf_checking_original(m):
     assert [D.diagonals for D in enumerate_dissections(
         m, DissectionClass.FRAMED_QUAD_FREE)] \
         == sorted(searched, key=lambda s: (len(s), sorted(s)))
+
+
+def test_enumerate_frees_its_cache_without_the_cyclic_collector():
+    # the sub-polygon cache must not outlive the call in a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        _enumerate(9, DissectionClass.FRAMED_QUAD_FREE)
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
 
 
 def test_framed_count_past_the_cap_matches_all_posets():
