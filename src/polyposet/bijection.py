@@ -8,9 +8,13 @@ intervals contribute diagonals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
-from .polygon import Dissection, empty_faces, is_diagonally_framed, is_noncrossing
-from .poset import IntervalPoset, _trivial_intervals
+# empty_faces and is_diagonally_framed stay importable here for the
+# benchmark's bijection.empty_faces and bijection.is_diagonally_framed hooks
+from .polygon import (Dissection, _table, all_diagonals,  # noqa: F401
+                      empty_faces, is_diagonally_framed)
+from .poset import IntervalPoset, _family_of_mask, _mask_of, _trivial_mask
 
 
 def phi(P: IntervalPoset) -> Dissection:
@@ -45,8 +49,8 @@ def phi_inverse(D: Dissection) -> IntervalPoset:
     [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
     """
     n = D.m - 1
-    intervals = _trivial_intervals(n) | {(u, v - 1) for u, v in D.diagonals}
-    return IntervalPoset(n, frozenset(intervals))
+    trivial = _family_of_mask(_trivial_mask(n), n + 1)
+    return IntervalPoset(n, {*trivial, *((u, v - 1) for u, v in D.diagonals)})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,14 +67,53 @@ def classify_image(P: IntervalPoset) -> ImageClassification:
     """Evaluate the four dissection predicates on phi(P); needs n >= 2.
 
     All four are reported exactly as computed — in particular the bare
-    triangle at n = 2 counts as an empty triangular face.
+    triangle at n = 2 counts as an empty triangular face.  They are read
+    from P's family bitmask by ``_classify_mask``.
     """
     if P.n < 2:
         raise ValueError("classification needs n >= 2 (the 2-gon has no predicates)")
-    D = phi(P)
+    return _classify_mask(_mask_of(P.intervals, P.n), P.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _image_table(n: int):
+    """``polygon``'s table of the (n+1)-gon turned round: 4-faces, 3-faces
+    and crossing pairs numbered in that order, then per diagonal {u, v} its
+    bit ``u * (n + 1) + v - 1`` in the scan's layout (the interval [u, v-1])
+    and the numbers of the faces it is a side of or the pairs it is in, of
+    the faces it enters, and of the pairs it frames; then the masks of the
+    4-face, 3-face and pair numbers."""
+    table = _table(n + 1)
+    faces = table.faces[4] + table.faces[3]
+    entries = ([(sides, pens, 0) for _, sides, pens in faces]
+               + [(pair, 0, frame) for pair, frame in table.frames])
+    rows = [(1 << u * (n + 1) + v - 1,
+             *(sum(1 << k for k, entry in enumerate(entries)
+                   if entry[column] >> i & 1) for column in range(3)))
+            for i, (u, v) in enumerate(all_diagonals(n + 1))]
+    quads, pairs = len(table.faces[4]), len(faces)
+    return (rows, (1 << quads) - 1, (1 << pairs) - (1 << quads),
+            (1 << len(entries)) - (1 << pairs))
+
+
+def _classify_mask(mask: int, n: int) -> ImageClassification:
+    """``classify_image`` of the poset with this family bitmask (n >= 2),
+    with no poset or dissection built.  A face or crossing pair is open when
+    a side or member of it is missing.  A face is empty when it is neither
+    open nor entered by a present diagonal, the image is non-crossing when
+    every pair is open, and framed when no closed pair misses a frame chord.
+    """
+    rows, quads, triangles, pairs = _image_table(n)
+    opened = entered = unframed = 0
+    for bit, sides, pens, frames in rows:
+        if mask & bit:
+            entered |= pens
+        else:
+            opened |= sides
+            unframed |= frames
+    empty = ~(opened | entered)
     return ImageClassification(
-        diagonally_framed=is_diagonally_framed(D),
-        quad_free=not empty_faces(D, 4),
-        noncrossing=is_noncrossing(D),
-        triangle_free=not empty_faces(D, 3),
-    )
+        diagonally_framed=not unframed & ~opened,
+        quad_free=not empty & quads,
+        noncrossing=opened & pairs == pairs,
+        triangle_free=not empty & triangles)

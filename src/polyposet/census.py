@@ -1,30 +1,14 @@
-"""Exhaustive verification engine.
+"""Exhaustive verification engine: distinct interval posets over whole
+symmetric groups, polygon dissections per class, the comparison of the two
+sides of each correspondence, realization of interval families, the
+structural identity and image checks, and OEIS b-file cross-checks.
 
-Counts distinct interval posets over whole symmetric groups, counts polygon
-dissections per class, compares the two sides of each correspondence,
-realizes interval families as permutations by pruned search, runs the
-structural identity checks, and cross-checks counts against locally stored
-OEIS b-files.
-
-Poset scans and the identity checks share one prefix DFS over S_n that
-grows each prefix's interval set incrementally, checking only the windows
-that end at the newest position.  The block-wise family prunes a prefix as
-soon as it holds a sum of two blocks, so no rejected permutation is ever
-completed; the other families record whether the permutation holds a sum
-of three.  Leaves deduplicate by an exact family bitmask paired with that
-flag before any poset-level predicate runs, so the structural work happens
-once per distinct poset rather than once per permutation, and the bitmask
-stays the family's identity until a canonical key is written for the
-report.  The sum-of-three flag is still found per permutation, by stacking
-blocks, a different route from the poset side's laminarity test.  Counts,
-keys and image checks read one merge of the scan by mask.  ``walk_all``
-returns the scan of all permutations of one order as a ``Walk``, which
-``check_identities`` and the all and tree image checks accept as ``walk=``,
-so ``verify`` walks S_n once per order; the block-wise check keeps its own
-pruned scan.  A walk lives only as long as its caller holds it.  Above a
-per-family order the scan splits by first entry over one worker per CPU;
-merging keeps the first representative of each key in first-entry order,
-so results do not depend on the worker count.
+Every poset-side route reads one prefix DFS over S_n (``_scan``), which
+keeps each distinct family as a bitmask, bit ``lo * (n + 1) + hi`` per
+interval, up to the verdict: the tree filter and the checks of ``poset``
+and ``bijection`` read the mask against small per-order tables, and only
+canonical keys decode it.  ``walk_all`` hands one scan of S_n to
+``check_identities`` and the all and tree image checks.
 """
 from __future__ import annotations
 
@@ -37,12 +21,14 @@ import time
 from typing import IO, Iterable
 
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
-from .bijection import classify_image
+# classify_image is re-exported for the benchmark's census.classify_image hook
+from .bijection import _classify_mask, classify_image  # noqa: F401
 from .perm import Permutation
 from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
                       enumerate_dissections)
-from .poset import (IntervalPoset, _closure_violation, _is_laminar,
-                    _three_descendant_violation, key_of_family)
+from .poset import (_closure_violation_mask, _family_of_mask,
+                    _is_laminar_mask, _mask_of, _three_descendant_violation_mask,
+                    _trivial_mask, key_of_family)
 
 
 class Family(enum.Enum):
@@ -182,17 +168,6 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     return found
 
 
-def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
-    """The intervals whose bits ``lo * width + hi`` are set in the mask, in
-    ascending order."""
-    family = []
-    while mask:
-        low = mask & -mask
-        family.append(divmod(low.bit_length() - 1, width))
-        mask ^= low
-    return family
-
-
 def _scan(n: int, family: Family) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> lexicographically least permutation of
     order n in the family, in the order of those permutations.
@@ -277,7 +252,7 @@ def _distinct_families(n: int, family: Family, cap: int | None,
         reps.setdefault(key >> 1, entries)
     if family is Family.TREE:
         return {mask: entries for mask, entries in reps.items()
-                if _is_laminar(_family_of_mask(mask, n + 1))}
+                if _is_laminar_mask(mask, n)}
     return reps
 
 
@@ -418,9 +393,9 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     error (``ValueError``), not an unrealizable family.
 
     A prefix DFS in the scan's layout places values left to right in
-    increasing order.  ``allowed`` is the family as a bitmask with bit
-    ``lo * (n + 1) + hi`` per interval, ``spans`` the value bitmask of each
-    interval of two or more values, and ``used`` the values placed so far.
+    increasing order.  ``allowed`` is the family's bitmask, ``spans`` the
+    value bitmask of each interval of two or more values, and ``used`` the
+    values placed so far.
     Two prunes make leaves exactly the realizers: the candidates are the
     unused values inside every span that is partly used (the values of an
     interval occupy consecutive positions), and a candidate is rejected when
@@ -434,18 +409,11 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     """
     _check_order(n, cap, "realization")
     width = n + 1
-    allowed = 0
-    spans = []
-    for lo, hi in sorted(set(intervals)):
-        if not (1 <= lo <= hi <= n):
-            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
-        allowed |= 1 << (lo * width + hi)
-        if lo < hi:
-            spans.append((1 << hi + 1) - (1 << lo))
+    allowed = _mask_of(intervals, n)
+    spans = [(1 << hi + 1) - (1 << lo)
+             for lo, hi in _family_of_mask(allowed, width) if lo < hi]
     # the singletons and (1, n), which every permutation has
-    trivial = sum(1 << (v * width + v) for v in range(1, n + 1))
-    trivial |= 1 << (width + n)
-    if allowed & trivial != trivial:
+    if allowed & _trivial_mask(n) != _trivial_mask(n):
         return None
     entries = [0] * n
     values = (1 << width) - 2
@@ -501,12 +469,11 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
     - tree-iff-no-triple-sum: the interval poset is a tree exactly when the
       permutation has no three-block sum interval.
 
-    The walk is the census scan of all permutations, which reports the
-    least permutation of each (family mask, triple flag) pair.  Poset-level
-    facts are evaluated once per distinct mask.  The triple flag is still
-    found per permutation, by stacking blocks as the prefix grows, while
-    the tree side is the laminarity of the family, so the last check tests
-    the equivalence across both routes.
+    The walk is the census scan of all permutations: the least permutation
+    of each (family mask, triple flag) pair, which ``poset``'s mask-level
+    checks read with no tuple or poset built.  The triple flag is found per
+    permutation by stacking blocks, so the last check sets two routes
+    against each other.
 
     ``walk``, from ``walk_all(n)``, is read instead of a new scan; the
     results are the same.  The order and cap are checked before it is
@@ -514,11 +481,9 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
     """
     _check_order(n, cap, "identity-check")
     simple_masks: set[int] = set()
-    fails: dict[str, str | None] = {"simple-share-poset": None,
-                                    "overlap-closure": None,
-                                    "no-three-descendants": None,
-                                    "tree-iff-no-triple-sum": None}
-    per_mask: dict[int, tuple[bool, bool, bool]] = {}
+    fails: dict[str, str | None] = dict.fromkeys((
+        "simple-share-poset", "overlap-closure", "no-three-descendants",
+        "tree-iff-no-triple-sum"))
 
     def note(check: str, entries: tuple[int, ...]):
         if fails[check] is None:
@@ -526,27 +491,19 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
 
     for key, entries in _scan_or_walk(n, Family.ALL, walk).items():
         mask = key >> 1
-        info = per_mask.get(mask)
-        if info is None:
-            fam = frozenset(_family_of_mask(mask, n + 1))
-            info = (_is_laminar(fam), _closure_violation(fam, n) is None,
-                    _three_descendant_violation(fam) is None)
-            per_mask[mask] = info
-        tree, closure_ok, three_ok = info
-        if not closure_ok:
+        if _closure_violation_mask(mask, n) is not None:
             note("overlap-closure", entries)
-        if not three_ok:
+        if _three_descendant_violation_mask(mask, n) is not None:
             note("no-three-descendants", entries)
         if n >= 2 and mask.bit_count() == n + 1:
             simple_masks.add(mask)
             if len(simple_masks) > 1:
                 note("simple-share-poset", entries)
-        if tree == bool(key & 1):
+        if _is_laminar_mask(mask, n) == bool(key & 1):
             note("tree-iff-no-triple-sum", entries)
 
-    return [IdentityCheck(name, fails[name] is None, fails[name])
-            for name in ("simple-share-poset", "overlap-closure",
-                         "no-three-descendants", "tree-iff-no-triple-sum")]
+    return [IdentityCheck(name, fail is None, fail)
+            for name, fail in fails.items()]
 
 
 IMAGE_CHECK_NAMES = {
@@ -569,15 +526,12 @@ def check_images(n: int, family: Family, *, cap: int | None = None,
     every distinct poset arising from the family satisfies the predicate
     bundle paired with it (framed and quad-free for all permutations;
     non-crossing and quad-free for tree posets; additionally triangle-free
-    for block-wise simple permutations).  A failure names the least
-    permutation in the family whose poset's image fails.
+    for block-wise simple permutations), read from each family's mask by
+    ``bijection``.  A failure names the least permutation in the family
+    whose poset's image fails; n = 1, the degenerate 2-gon, is vacuous.
 
-    Vacuous at n = 1, where the image is the degenerate 2-gon.
-
-    ``walk``, from ``walk_all(n)``, is read instead of a new scan by the
-    all and tree families; the results are the same.  The order and cap
-    are checked before it is read.  A walk of another order, or any walk
-    for the block-wise family, is a ``ValueError``.
+    The all and tree families read ``walk`` as ``check_identities`` does;
+    any walk for the block-wise family is a ``ValueError``.
     """
     reps = _distinct_families(n, family, cap, walk)
     name = IMAGE_CHECK_NAMES[family]
@@ -585,8 +539,7 @@ def check_images(n: int, family: Family, *, cap: int | None = None,
     if n == 1:
         return IdentityCheck(name, True)
     for mask, entries in reps.items():
-        P = IntervalPoset(n, frozenset(_family_of_mask(mask, n + 1)))
-        if not predicate(classify_image(P)):
+        if not predicate(_classify_mask(mask, n)):
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)
 

@@ -9,10 +9,12 @@ minimum, which fixes the plane embedding used by the renderer.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable
 
 from ._lines import read_pairs
 from .perm import Permutation, all_intervals
+from .polygon import _bits
 
 
 class ElementNotInPoset(KeyError):
@@ -34,13 +36,8 @@ class IntervalPoset:
         # any collection is stored as a frozenset, so duplicates collapse
         # and the instance hashes; a frozenset is kept as the same object
         object.__setattr__(self, "intervals", frozenset(self.intervals))
-        n = self.n
-        if n < 1:
-            raise ValueError("poset needs n >= 1")
-        for lo, hi in self.intervals:
-            if not (1 <= lo <= hi <= n):
-                raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
-        if not _trivial_intervals(n) <= self.intervals:
+        mask = _mask_of(self.intervals, self.n)
+        if mask & _trivial_mask(self.n) != _trivial_mask(self.n):
             raise ValueError("trivial intervals must all be present")
 
     def __contains__(self, v: tuple[int, int]) -> bool:
@@ -62,54 +59,76 @@ def poset_of(p: Permutation) -> IntervalPoset:
     return IntervalPoset(p.n, all_intervals(p))
 
 
-def _trivial_intervals(n: int) -> set[tuple[int, int]]:
-    """The n singletons and (1, n), present in every interval poset."""
-    return {(i, i) for i in range(1, n + 1)} | {(1, n)}
+def _mask_of(intervals, n: int) -> int:
+    """The family as a bitmask in the census scan's layout, bit
+    ``lo * (n + 1) + hi`` per interval.  An order below 1 or an interval
+    outside 1..n, a reversed one included, is a ``ValueError``."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    mask = 0
+    for lo, hi in intervals:
+        if not 1 <= lo <= hi <= n:
+            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
+        mask |= 1 << lo * (n + 1) + hi
+    return mask
 
 
-def _nesting_order(intervals) -> list[tuple[int, int]]:
-    """The family sorted by (lo, -hi): every member after all members
-    that contain it."""
-    return sorted(intervals, key=lambda w: (w[0], -w[1]))
+def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
+    """The intervals whose bits ``lo * width + hi`` are set in the mask, in
+    ascending order."""
+    return [divmod(i, width) for i in _bits(mask)]
 
 
-def _family_children(ordered, v: tuple[int, int]) -> list[tuple[int, int]]:
-    """Maximal members of the family strictly inside v, by ascending minimum.
+@functools.lru_cache(maxsize=None)
+def _trivial_mask(n: int) -> int:
+    """The bits of the n singletons and (1, n)."""
+    return sum(1 << v * (n + 2) for v in range(1, n + 1)) | 1 << (2 * n + 1)
 
-    ``ordered`` is the family in ``_nesting_order``, where a member lies
-    inside another exactly when some earlier member reaches at least as far
-    right, and nothing after the first member starting past v lies inside
-    v; callers sort once for all the members they ask about.
-    """
-    lo, hi = v
+
+def _rows(mask: int, n: int) -> list[int]:
+    """Per minimum lo, the bitmask of the maxima hi of the family's members
+    (lo, hi)."""
+    full = (1 << n + 1) - 1
+    return [mask >> lo * (n + 1) & full for lo in range(n + 1)]
+
+
+def _children(rows: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Maximal members strictly inside (lo, hi), by ascending minimum: at
+    each start p the longest member inside (lo, hi), other than itself, is
+    maximal exactly when it reaches past those of all smaller starts."""
     children = []
     reach = lo - 1
-    for w in ordered:
-        if w[0] > hi:
-            break
-        if lo <= w[0] and w[1] <= hi and w[1] > reach and w != v:
-            children.append(w)
-            reach = w[1]
+    inside = (1 << hi + 1) - 1
+    for p in range(lo, hi + 1):
+        top = (rows[p] & (inside if p > lo else inside >> 1)).bit_length() - 1
+        if top > reach:
+            children.append((p, top))
+            reach = top
     return children
 
 
-def _is_laminar(intervals) -> bool:
-    """True iff no two members properly overlap (a < c <= b < d).
+@functools.lru_cache(maxsize=None)
+def _overlaps(n: int) -> list[int]:
+    """Per bit i of the scan's layout at order n, interval (a, b), the bits
+    of the intervals (c, d) that properly overlap it from the right:
+    a < c <= b < d."""
+    width = n + 1
+    right = [0] * width * width
+    for a in range(1, n + 1):
+        for c in range(a + 1, n + 1):
+            row = c * width  # (c, d) for each b < d <= n
+            for b in range(c, n + 1):
+                right[a * width + b] |= (1 << row + width) - (1 << row + b + 1)
+    return right
 
-    For a family holding the trivial intervals this is exactly "the Hasse
-    diagram is a tree": under [a, b] -> {a, b+1} proper overlaps are chord
-    crossings, and the supersets of an element form a chain exactly when
-    none of them overlap.  One pass in (lo, -hi) order keeps the members
-    still open at the current minimum on a stack, innermost on top.
-    """
-    open_his: list[int] = []
-    for lo, hi in _nesting_order(intervals):
-        while open_his and open_his[-1] < lo:
-            open_his.pop()
-        if open_his and open_his[-1] < hi:
-            return False
-        open_his.append(hi)
-    return True
+
+def _is_laminar_mask(mask: int, n: int) -> bool:
+    """True iff no two members properly overlap (a < c <= b < d).  For a
+    family holding the trivial intervals this is "the Hasse diagram is a
+    tree": the supersets of an element form a chain exactly when none of
+    them overlap."""
+    right = _overlaps(n)
+    return not any(right[i] & mask for i in _bits(mask))
 
 
 def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]]:
@@ -120,15 +139,14 @@ def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]
     """
     if v not in P.intervals:
         raise ElementNotInPoset(v)
-    return _family_children(_nesting_order(P.intervals), v)
+    return _children(_rows(_mask_of(P.intervals, P.n), P.n), *v)
 
 
 def hasse_edges(P: IntervalPoset) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All cover pairs (parent, child), parents in (lo, hi) order and
     children in ascending-minimum order under each parent."""
-    ordered = _nesting_order(P.intervals)
-    return [(v, c) for v in P.sorted_elements()
-            for c in _family_children(ordered, v)]
+    rows = _rows(_mask_of(P.intervals, P.n), P.n)
+    return [(v, c) for v in P.sorted_elements() for c in _children(rows, *v)]
 
 
 def is_tree(P: IntervalPoset) -> bool:
@@ -141,7 +159,7 @@ def is_tree(P: IntervalPoset) -> bool:
     >>> is_tree(poset_of(parse_permutation("5123647")))
     False
     """
-    return _is_laminar(P.intervals)
+    return _is_laminar_mask(_mask_of(P.intervals, P.n), P.n)
 
 
 def children_histogram(P: IntervalPoset) -> dict[int, int]:
@@ -151,8 +169,8 @@ def children_histogram(P: IntervalPoset) -> dict[int, int]:
     >>> children_histogram(poset_of(Permutation((2, 4, 1, 3))))
     {0: 4, 4: 1}
     """
-    ordered = _nesting_order(P.intervals)
-    sizes = [len(_family_children(ordered, v)) for v in ordered]
+    rows = _rows(_mask_of(P.intervals, P.n), P.n)
+    sizes = [len(_children(rows, *v)) for v in P.intervals]
     return {k: sizes.count(k) for k in sorted(set(sizes))}
 
 
@@ -186,30 +204,32 @@ class FamilyVerdict:
     witnesses: tuple = ()
 
 
-def _closure_violation(intervals, n):
-    """First Obs-style closure failure among properly overlapping pairs."""
-    elems = sorted(intervals)
-    for idx, I in enumerate(elems):
-        a, b = I
-        for J in elems[idx + 1:]:
-            c, d = J
-            # sorted order gives a <= c; proper overlap means a < c <= b < d
-            if not (a < c <= b < d):
-                continue
-            for derived, tag in (((c, b), "intersection"), ((a, d), "union"),
-                                 ((a, c - 1), "difference"), ((b + 1, d), "difference")):
-                if derived not in intervals:
-                    return (I, J, derived, tag)
+def _closure_violation_mask(mask: int, n: int):
+    """First closure failure among properly overlapping pairs (I, J), I
+    before J in (lo, hi) order, which is bit order, as ``(I, J, missing,
+    tag)``; None when there is none."""
+    right, width = _overlaps(n), n + 1
+    # members that nothing overlaps from the right start no inner loop
+    for i in filter(lambda i: right[i] & mask, _bits(mask)):
+        for j in _bits(right[i] & mask):
+            (a, b), (c, d) = divmod(i, width), divmod(j, width)
+            for (lo, hi), tag in (((c, b), "intersection"), ((a, d), "union"),
+                                  ((a, c - 1), "difference"),
+                                  ((b + 1, d), "difference")):
+                if not mask >> lo * width + hi & 1:
+                    return ((a, b), (c, d), (lo, hi), tag)
     return None
 
 
-def _three_descendant_violation(intervals):
-    """First member, in (lo, hi) order, with exactly 3 direct descendants."""
-    ordered = _nesting_order(intervals)
-    for v in sorted(intervals):
-        kids = _family_children(ordered, v)
-        if len(kids) == 3:
-            return (v, tuple(kids))
+def _three_descendant_violation_mask(mask: int, n: int):
+    """First member, in (lo, hi) order, with exactly 3 direct descendants,
+    as ``(member, children)``; None when there is none."""
+    rows = _rows(mask, n)
+    for lo in range(1, n - 1):
+        # a member of fewer than three values has fewer than three children
+        for hi in _bits(rows[lo] >> lo + 2 << lo + 2):
+            if len(kids := _children(rows, lo, hi)) == 3:
+                return ((lo, hi), tuple(kids))
     return None
 
 
@@ -221,20 +241,20 @@ def validate_interval_family(intervals: Iterable[tuple[int, int]],
     every properly overlapping pair the union, intersection and both
     differences are present; no element has exactly 3 direct descendants.
     Passing means "not refuted", realizability is a separate search
-    (census ``realize``).
+    (census ``realize``).  An order below 1 or an interval outside 1..n is
+    an input error (``ValueError``), as in ``realize``.
     """
-    fam = frozenset(intervals)
-    missing = sorted(_trivial_intervals(n) - fam)
+    mask = _mask_of(intervals, n)
+    missing = _trivial_mask(n) & ~mask
     if missing:
-        return FamilyVerdict(False, "trivial-intervals", tuple(missing))
-    bad = _closure_violation(fam, n)
+        return FamilyVerdict(False, "trivial-intervals",
+                             tuple(_family_of_mask(missing, n + 1)))
+    bad = _closure_violation_mask(mask, n)
     if bad is not None:
-        I, J, miss, tag = bad
-        return FamilyVerdict(False, "closure", (I, J, miss, tag))
-    bad = _three_descendant_violation(fam)
+        return FamilyVerdict(False, "closure", bad)
+    bad = _three_descendant_violation_mask(mask, n)
     if bad is not None:
-        v, kids = bad
-        return FamilyVerdict(False, "three-descendants", (v, kids))
+        return FamilyVerdict(False, "three-descendants", bad)
     return FamilyVerdict(True)
 
 

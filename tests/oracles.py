@@ -13,12 +13,17 @@ every non-crossing dissection that it replaced, realization by scanning
 entire symmetric groups and by the backtracking search with per-interval
 counters that the bitmask search replaced, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
-by those per-member children, the poset census by filtering whole
-permutations instead of pruning prefixes, the identity checks by a
-second walk of S_n that keys each permutation's family by string and finds
-its three-block sums on the whole permutation, and the image checks by a
-walk that selects each family's permutations through these oracles and
-classifies the image of every permutation's interval set.
+by those per-member children, laminarity, overlap closure,
+three-descendants and the family verdict by the tuple routines that the
+mask-level checks replaced (a stack pass in nesting order, an all-pairs
+loop and a children sweep per member), the image classification by
+building the dissection ``phi(P)`` and asking its predicates, the poset
+census by filtering whole permutations instead of pruning prefixes, the
+identity checks by a second walk of S_n that keys each permutation's family
+by string and finds its three-block sums on the whole permutation, and the
+image checks by a walk that selects each family's permutations through
+these oracles and classifies the image of every permutation's interval set
+through ``phi``.
 """
 from __future__ import annotations
 
@@ -27,17 +32,21 @@ import math
 from collections import Counter
 
 from polyposet import census
-from polyposet.bijection import classify_image
+from polyposet.bijection import ImageClassification, phi
 from polyposet.census import IDENTITY_CAP, Family, IdentityCheck
 from polyposet.perm import Permutation, _intervals_of_entries, \
     _tuple_has_sum_interval
 from polyposet.polygon import CapExceeded, Dissection, DissectionClass, \
-    all_diagonals, chords_cross, is_outer_edge
-from polyposet.poset import IntervalPoset, _closure_violation, \
-    _is_laminar, _three_descendant_violation, _trivial_intervals, \
-    key_of_family
+    all_diagonals, chords_cross, empty_faces, is_diagonally_framed, \
+    is_noncrossing, is_outer_edge
+from polyposet.poset import FamilyVerdict, IntervalPoset, key_of_family
 
 EPS = 1e-9
+
+
+def _trivial_intervals(n: int) -> set[tuple[int, int]]:
+    """The n singletons and (1, n), present in every interval poset."""
+    return {(i, i) for i in range(1, n + 1)} | {(1, n)}
 
 
 def oracle_intervals(entries) -> set[tuple[int, int]]:
@@ -187,6 +196,94 @@ def oracle_three_descendant_violation(family):
     return None
 
 
+def _nesting_order(intervals) -> list[tuple[int, int]]:
+    """The family sorted by (lo, -hi): every member after all members
+    that contain it."""
+    return sorted(intervals, key=lambda w: (w[0], -w[1]))
+
+
+def _family_children(ordered, v: tuple[int, int]) -> list[tuple[int, int]]:
+    """Maximal members of the family strictly inside v, by ascending
+    minimum, from the family in ``_nesting_order``, where a member lies
+    inside another exactly when some earlier member reaches at least as far
+    right."""
+    lo, hi = v
+    children = []
+    reach = lo - 1
+    for w in ordered:
+        if w[0] > hi:
+            break
+        if lo <= w[0] and w[1] <= hi and w[1] > reach and w != v:
+            children.append(w)
+            reach = w[1]
+    return children
+
+
+def _is_laminar(intervals) -> bool:
+    """True iff no two members properly overlap (a < c <= b < d), by one
+    pass in (lo, -hi) order that keeps the members still open at the
+    current minimum on a stack, innermost on top."""
+    open_his: list[int] = []
+    for lo, hi in _nesting_order(intervals):
+        while open_his and open_his[-1] < lo:
+            open_his.pop()
+        if open_his and open_his[-1] < hi:
+            return False
+        open_his.append(hi)
+    return True
+
+
+def _closure_violation(intervals, n):
+    """First closure failure among properly overlapping pairs, by testing
+    every pair of members in sorted order."""
+    elems = sorted(intervals)
+    for idx, I in enumerate(elems):
+        a, b = I
+        for J in elems[idx + 1:]:
+            c, d = J
+            # sorted order gives a <= c; proper overlap means a < c <= b < d
+            if not (a < c <= b < d):
+                continue
+            for derived, tag in (((c, b), "intersection"), ((a, d), "union"),
+                                 ((a, c - 1), "difference"), ((b + 1, d), "difference")):
+                if derived not in intervals:
+                    return (I, J, derived, tag)
+    return None
+
+
+def _three_descendant_violation(intervals):
+    """First member, in (lo, hi) order, with exactly 3 direct descendants,
+    children found by the ``_nesting_order`` sweep."""
+    ordered = _nesting_order(intervals)
+    for v in sorted(intervals):
+        kids = _family_children(ordered, v)
+        if len(kids) == 3:
+            return (v, tuple(kids))
+    return None
+
+
+def oracle_validate_interval_family(intervals, n: int) -> FamilyVerdict:
+    """``validate_interval_family`` on the tuple family, by the routines
+    above; an order below 1 or an interval outside 1..n is a
+    ``ValueError``."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    fam = frozenset(intervals)
+    for lo, hi in sorted(fam):
+        if not (1 <= lo <= hi <= n):
+            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
+    missing = sorted(_trivial_intervals(n) - fam)
+    if missing:
+        return FamilyVerdict(False, "trivial-intervals", tuple(missing))
+    bad = _closure_violation(fam, n)
+    if bad is not None:
+        return FamilyVerdict(False, "closure", bad)
+    bad = _three_descendant_violation(fam)
+    if bad is not None:
+        return FamilyVerdict(False, "three-descendants", bad)
+    return FamilyVerdict(True)
+
+
 def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
     """Canonical key -> lexicographically first permutation, in order of
     first appearance, by filtering every permutation of S_n: block-wise
@@ -256,6 +353,19 @@ def oracle_check_identities(n: int,
                          "no-three-descendants", "tree-iff-no-triple-sum")]
 
 
+def oracle_classify_image(P: IntervalPoset) -> ImageClassification:
+    """``classify_image`` by building the dissection ``phi(P)`` and asking
+    ``polygon``'s predicates, each a pass over that polygon's own table, as
+    the library did before it read the image predicates from the family
+    bitmask (n >= 2)."""
+    D = phi(P)
+    return ImageClassification(
+        diagonally_framed=is_diagonally_framed(D),
+        quad_free=not empty_faces(D, 4),
+        noncrossing=is_noncrossing(D),
+        triangle_free=not empty_faces(D, 3))
+
+
 def oracle_check_images(n: int, family: Family) -> IdentityCheck:
     """``check_images`` by a walk of its own over S_n: a permutation is in
     the tree family when ``oracle_is_tree`` holds for its value-side
@@ -277,7 +387,7 @@ def oracle_check_images(n: int, family: Family) -> IdentityCheck:
         if fam not in fails:
             in_family = family is not Family.TREE or oracle_is_tree(fam, n)
             fails[fam] = in_family and not predicate(
-                classify_image(IntervalPoset(n, fam)))
+                oracle_classify_image(IntervalPoset(n, fam)))
         if fails[fam]:
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)

@@ -22,7 +22,12 @@ from polyposet import (
     validate_interval_family,
 )
 
-from oracles import oracle_realizers
+from polyposet import bijection, census
+from polyposet.census import Family
+from polyposet.polygon import _bits
+from polyposet.poset import IntervalPoset, _family_of_mask
+
+from oracles import oracle_classify_image, oracle_realizers
 
 
 def pos(text):
@@ -215,6 +220,24 @@ def test_classify_tree_poset_is_noncrossing():
     assert flags.noncrossing is False  # overlapping intervals cross
     flags = classify_image(pos("4253716"))  # a tree poset
     assert flags.noncrossing is True
+
+
+def test_mask_classification_matches_the_image_dissection_on_every_family():
+    """The chord rule in the scan's layout against ``phi`` and
+    ``Dissection.mask``, and the image predicates read from the family
+    bitmask against those of the dissection ``phi(P)``, on every distinct
+    interval poset of orders 2..8."""
+    for n in range(2, 9):
+        rows = bijection._image_table(n)[0]
+        diagonal_bits = sum(row[0] for row in rows)
+        for mask in census._distinct_families(n, Family.ALL, None):
+            P = IntervalPoset(n, frozenset(_family_of_mask(mask, n + 1)))
+            D = phi(P)
+            assert sum(rows[i][0] for i in _bits(D.mask)) \
+                == mask & diagonal_bits, P
+            expected = oracle_classify_image(P)
+            assert bijection._classify_mask(mask, n) == expected, P
+            assert classify_image(P) == expected, P
 
 
 def test_realizers_of_inverse_images_agree_with_oracle():

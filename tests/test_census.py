@@ -3,6 +3,10 @@
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,22 +350,43 @@ def test_check_identities_matches_whole_permutation_walk():
         assert check_identities(n, walk=walk_all(n)) == expected, n
 
 
+def _bit(lo, hi, n):
+    return 1 << lo * (n + 1) + hi
+
+
+# census name -> (oracle name, wrong predicate on a family bitmask, the
+# check it fails); the oracle's tuple routine is replaced by the same
+# predicate on the tuple family's bitmask
 WRONG_PREDICATES = {
-    "_is_laminar": (lambda fam: len(fam) % 2 == 0, "tree-iff-no-triple-sum"),
-    "_closure_violation": (
-        lambda fam, n: (2, 4) if (2, 4) in fam and (1, 2) not in fam else None,
+    "_is_laminar_mask": ("_is_laminar",
+                         lambda mask, n: mask.bit_count() % 2 == 0,
+                         "tree-iff-no-triple-sum"),
+    "_closure_violation_mask": (
+        "_closure_violation",
+        lambda mask, n: (2, 4) if mask & _bit(2, 4, n)
+        and not mask & _bit(1, 2, n) else None,
         "overlap-closure"),
-    "_three_descendant_violation": (
-        lambda fam: (1, 1) if len(fam) % 3 == 1 else None,
+    "_three_descendant_violation_mask": (
+        "_three_descendant_violation",
+        lambda mask, n: (1, 1) if mask.bit_count() % 3 == 1 else None,
         "no-three-descendants"),
 }
 
 
+def _on_tuples(wrong):
+    """The mask-level predicate on a tuple family, whose order is its
+    largest maximum."""
+    def on_family(family, *_):
+        n = max(hi for _, hi in family)
+        return wrong(sum(_bit(lo, hi, n) for lo, hi in family), n)
+    return on_family
+
+
 @pytest.mark.parametrize("predicate", sorted(WRONG_PREDICATES))
 def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
-    wrong, failing = WRONG_PREDICATES[predicate]
+    oracle_name, wrong, failing = WRONG_PREDICATES[predicate]
     monkeypatch.setattr(census, predicate, wrong)
-    monkeypatch.setattr(oracles, predicate, wrong)
+    monkeypatch.setattr(oracles, oracle_name, _on_tuples(wrong))
     for n in (5, 6):
         checks = check_identities(n)
         assert checks == oracle_check_identities(n), n
@@ -446,6 +471,20 @@ def test_order_and_cap_are_checked_before_the_walk_is_read():
             check_images(12, family, walk=walk)
         with pytest.raises(ValueError, match="at least 1"):
             check_images(0, family, walk=walk)
+
+
+def test_import_builds_no_per_order_table():
+    """The per-order mask tables are built on first use, never at import,
+    so importing the package stays cheap."""
+    probe = ("from polyposet import bijection, cli, polygon, poset\n"
+             "print(*[table.cache_info().currsize for table in "
+             "(poset._overlaps, bijection._image_table, polygon._table)])")
+    src = pathlib.Path(census.__file__).parent.parent
+    result = subprocess.run([sys.executable, "-S", "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.split() == ["0", "0", "0"]
 
 
 def test_walk_all_cap():

@@ -1,21 +1,25 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyposet import census
 from polyposet.census import Family, poset_census
 from polyposet.perm import Permutation, all_intervals, is_simple, \
     parse_permutation
 from polyposet.poset import (ElementNotInPoset, IntervalPoset,
-                             _three_descendant_violation, canonical_key,
+                             _closure_violation_mask, _family_of_mask,
+                             _is_laminar_mask, _mask_of,
+                             _three_descendant_violation_mask, canonical_key,
                              children_histogram, format_interval,
                              hasse_children, hasse_edges, is_tree,
                              key_of_family, parse_poset_text, poset_of,
                              validate_interval_family, write_poset_text)
 
-from oracles import oracle_children, oracle_is_tree, \
-    oracle_three_descendant_violation
+from oracles import _closure_violation, _is_laminar, \
+    _three_descendant_violation, oracle_children, oracle_is_tree, \
+    oracle_three_descendant_violation, oracle_validate_interval_family
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
@@ -129,6 +133,23 @@ def test_validate_rejects_three_descendants():
     assert verdict.witnesses[0] == (1, 3)
 
 
+def test_validate_rejects_an_interval_outside_the_order():
+    family = {(1, 1), (2, 2), (3, 3), (1, 3), (2, 7)}
+    with pytest.raises(ValueError, match=r"interval \(2, 7\) out of range for n=3"):
+        validate_interval_family(family, 3)
+
+
+def test_validate_rejects_a_reversed_interval():
+    family = {(1, 1), (2, 2), (3, 3), (1, 3), (3, 2)}
+    with pytest.raises(ValueError, match=r"interval \(3, 2\) out of range for n=3"):
+        validate_interval_family(family, 3)
+
+
+def test_validate_rejects_an_order_below_one():
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        validate_interval_family(set(), 0)
+
+
 def test_validate_passes_fan_family():
     assert validate_interval_family(FAN_FAMILY_INTERVALS, 7).ok
 
@@ -175,7 +196,7 @@ def test_tree_test_matches_parent_count_on_every_family():
                     for entries in poset_census(n, Family.ALL).values()]
         for fam in families:
             assert is_tree(IntervalPoset(n, fam)) == oracle_is_tree(fam, n), fam
-            assert _three_descendant_violation(fam) \
+            assert _three_descendant_violation_mask(_mask_of(fam, n), n) \
                 == oracle_three_descendant_violation(fam), fam
         trees.append(sum(oracle_is_tree(fam, n) for fam in families))
     assert trees == [1, 1, 2, 6, 21, 78, 301, 1198]
@@ -198,8 +219,50 @@ def test_tree_test_and_children_match_oracles_off_posets(P):
     assert is_tree(P) == oracle_is_tree(P.intervals, P.n)
     for v in P.intervals:
         assert hasse_children(P, v) == oracle_children(P.intervals, v)
-    assert _three_descendant_violation(P.intervals) \
+    assert _three_descendant_violation_mask(_mask_of(P.intervals, P.n), P.n) \
         == oracle_three_descendant_violation(P.intervals)
+
+
+def _assert_mask_checks_match_tuple_oracles(family, n):
+    mask = _mask_of(family, n)
+    assert _is_laminar_mask(mask, n) == _is_laminar(family)
+    assert _closure_violation_mask(mask, n) == _closure_violation(family, n)
+    assert _three_descendant_violation_mask(mask, n) \
+        == _three_descendant_violation(family)
+    assert validate_interval_family(family, n) \
+        == oracle_validate_interval_family(family, n)
+
+
+def test_mask_checks_match_tuple_oracles_on_every_family():
+    """Laminarity, closure, three-descendants and the verdict, read from
+    the family bitmask, against the tuple routines on all 7,264 distinct
+    interval posets of orders 1..8."""
+    for n in range(1, 9):
+        for mask in census._distinct_families(n, Family.ALL, None):
+            _assert_mask_checks_match_tuple_oracles(
+                frozenset(_family_of_mask(mask, n + 1)), n)
+
+
+@st.composite
+def families_in_range(draw):
+    """Intervals of an order up to 8: the trivial ones, one in four times
+    less one of them, and any proper ones.  Such a family is seldom an
+    interval poset."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    trivial = sorted({(i, i) for i in range(1, n + 1)} | {(1, n)})
+    proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+              if (a, b) != (1, n)]
+    dropped = set()
+    if draw(st.integers(min_value=0, max_value=3)) == 3:
+        dropped = {draw(st.sampled_from(trivial))}
+    extra = draw(st.sets(st.sampled_from(proper))) if proper else set()
+    return n, frozenset(trivial) - dropped | extra
+
+
+@settings(max_examples=300)
+@given(families_in_range())
+def test_mask_checks_match_tuple_oracles_off_posets(case):
+    _assert_mask_checks_match_tuple_oracles(case[1], case[0])
 
 
 @given(perms)
