@@ -14,7 +14,7 @@ import functools
 # benchmark's bijection.empty_faces and bijection.is_diagonally_framed hooks
 from .polygon import (Dissection, _table, all_diagonals,  # noqa: F401
                       empty_faces, is_diagonally_framed)
-from .poset import IntervalPoset, _family_of_mask, _mask_of, _trivial_mask
+from .poset import IntervalPoset
 
 
 def phi(P: IntervalPoset) -> Dissection:
@@ -49,8 +49,8 @@ def phi_inverse(D: Dissection) -> IntervalPoset:
     [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
     """
     n = D.m - 1
-    trivial = _family_of_mask(_trivial_mask(n), n + 1)
-    return IntervalPoset(n, {*trivial, *((u, v - 1) for u, v in D.diagonals)})
+    return IntervalPoset(n, {(1, n), *((v, v) for v in range(1, n + 1)),
+                             *((u, v - 1) for u, v in D.diagonals)})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,7 +72,7 @@ def classify_image(P: IntervalPoset) -> ImageClassification:
     """
     if P.n < 2:
         raise ValueError("classification needs n >= 2 (the 2-gon has no predicates)")
-    return _classify_mask(_mask_of(P.intervals, P.n), P.n)
+    return _classify_mask(P.mask, P.n)
 
 
 @functools.lru_cache(maxsize=None)

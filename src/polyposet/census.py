@@ -6,9 +6,15 @@ structural identity and image checks, and OEIS b-file cross-checks.
 Every poset-side route reads one prefix DFS over S_n (``_scan``), which
 keeps each distinct family as a bitmask, bit ``lo * (n + 1) + hi`` per
 interval, up to the verdict: the tree filter and the checks of ``poset``
-and ``bijection`` read the mask against small per-order tables, and only
-canonical keys decode it.  ``walk_all`` hands one scan of S_n to
-``check_identities`` and the all and tree image checks.
+and ``bijection`` read the mask, and only canonical keys decode it.  The
+block-wise family prunes a prefix as soon as it holds a sum of two blocks,
+so no rejected permutation is ever completed; the others record whether
+the permutation holds a sum of three.  ``walk_all`` hands one scan of S_n
+to ``check_identities`` and the all and tree image checks; the block-wise
+check keeps its own pruned scan.  Above a per-family order the scan splits
+by first entry over one worker per CPU, and the merge keeps the first
+representative of each key in first-entry order, so results do not depend
+on the worker count.
 """
 from __future__ import annotations
 
@@ -413,7 +419,7 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     spans = [(1 << hi + 1) - (1 << lo)
              for lo, hi in _family_of_mask(allowed, width) if lo < hi]
     # the singletons and (1, n), which every permutation has
-    if allowed & _trivial_mask(n) != _trivial_mask(n):
+    if _trivial_mask(n) & ~allowed:
         return None
     entries = [0] * n
     values = (1 << width) - 2

@@ -9,7 +9,6 @@ minimum, which fixes the plane embedding used by the renderer.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable
 
 from ._lines import read_pairs
@@ -31,13 +30,17 @@ class IntervalPoset:
 
     n: int
     intervals: frozenset[tuple[int, int]]
+    # the family in the census scan's layout, see ``_mask_of``
+    mask: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # any collection is stored as a frozenset, so duplicates collapse
         # and the instance hashes; a frozenset is kept as the same object
         object.__setattr__(self, "intervals", frozenset(self.intervals))
-        mask = _mask_of(self.intervals, self.n)
-        if mask & _trivial_mask(self.n) != _trivial_mask(self.n):
+        if self.n < 1:
+            raise ValueError("poset needs n >= 1")
+        object.__setattr__(self, "mask", _mask_of(self.intervals, self.n))
+        if _trivial_mask(self.n) & ~self.mask:
             raise ValueError("trivial intervals must all be present")
 
     def __contains__(self, v: tuple[int, int]) -> bool:
@@ -62,14 +65,23 @@ def poset_of(p: Permutation) -> IntervalPoset:
 def _mask_of(intervals, n: int) -> int:
     """The family as a bitmask in the census scan's layout, bit
     ``lo * (n + 1) + hi`` per interval.  An order below 1 or an interval
-    outside 1..n, a reversed one included, is a ``ValueError``."""
+    outside 1..n, a reversed one included, is a ``ValueError`` naming the
+    least such interval."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    mask = 0
+    # one row of maxima per minimum, joined once, so a large family costs
+    # no quadratic big-int work
+    rows, bad = [0] * (n + 1), []
     for lo, hi in intervals:
-        if not 1 <= lo <= hi <= n:
-            raise ValueError(f"interval ({lo}, {hi}) out of range for n={n}")
-        mask |= 1 << lo * (n + 1) + hi
+        if 1 <= lo <= hi <= n:
+            rows[lo] |= 1 << hi
+        else:
+            bad.append((lo, hi))
+    if bad:
+        raise ValueError(f"interval {min(bad)} out of range for n={n}")
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n + 1 | row
     return mask
 
 
@@ -79,10 +91,11 @@ def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:
     return [divmod(i, width) for i in _bits(mask)]
 
 
-@functools.lru_cache(maxsize=None)
 def _trivial_mask(n: int) -> int:
-    """The bits of the n singletons and (1, n)."""
-    return sum(1 << v * (n + 2) for v in range(1, n + 1)) | 1 << (2 * n + 1)
+    """The bits of the n singletons and (1, n).  The singletons' bits are
+    every (n + 2)th from bit n + 2, a repunit in base 2^(n+2)."""
+    repunit = ((1 << n * (n + 2)) - 1) // ((1 << n + 2) - 1)
+    return repunit << n + 2 | 1 << 2 * n + 1
 
 
 def _rows(mask: int, n: int) -> list[int]:
@@ -107,28 +120,19 @@ def _children(rows: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
     return children
 
 
-@functools.lru_cache(maxsize=None)
-def _overlaps(n: int) -> list[int]:
-    """Per bit i of the scan's layout at order n, interval (a, b), the bits
-    of the intervals (c, d) that properly overlap it from the right:
-    a < c <= b < d."""
-    width = n + 1
-    right = [0] * width * width
-    for a in range(1, n + 1):
-        for c in range(a + 1, n + 1):
-            row = c * width  # (c, d) for each b < d <= n
-            for b in range(c, n + 1):
-                right[a * width + b] |= (1 << row + width) - (1 << row + b + 1)
-    return right
-
-
 def _is_laminar_mask(mask: int, n: int) -> bool:
     """True iff no two members properly overlap (a < c <= b < d).  For a
     family holding the trivial intervals this is "the Hasse diagram is a
     tree": the supersets of an element form a chain exactly when none of
-    them overlap."""
-    right = _overlaps(n)
-    return not any(right[i] & mask for i in _bits(mask))
+    them overlap.  Members (a, b) and (c, d) with a < c overlap exactly
+    when some b of a smaller minimum lies in c..d-1 for the longest d."""
+    rows, maxima = _rows(mask, n), 0  # maxima of the smaller minima
+    for c in range(2, n + 1):
+        maxima |= rows[c - 1]
+        top = rows[c].bit_length() - 1
+        if top > c and maxima & (1 << top) - (1 << c):
+            return False
+    return True
 
 
 def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]]:
@@ -139,13 +143,13 @@ def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]
     """
     if v not in P.intervals:
         raise ElementNotInPoset(v)
-    return _children(_rows(_mask_of(P.intervals, P.n), P.n), *v)
+    return _children(_rows(P.mask, P.n), *v)
 
 
 def hasse_edges(P: IntervalPoset) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All cover pairs (parent, child), parents in (lo, hi) order and
     children in ascending-minimum order under each parent."""
-    rows = _rows(_mask_of(P.intervals, P.n), P.n)
+    rows = _rows(P.mask, P.n)
     return [(v, c) for v in P.sorted_elements() for c in _children(rows, *v)]
 
 
@@ -159,7 +163,7 @@ def is_tree(P: IntervalPoset) -> bool:
     >>> is_tree(poset_of(parse_permutation("5123647")))
     False
     """
-    return _is_laminar_mask(_mask_of(P.intervals, P.n), P.n)
+    return _is_laminar_mask(P.mask, P.n)
 
 
 def children_histogram(P: IntervalPoset) -> dict[int, int]:
@@ -169,7 +173,7 @@ def children_histogram(P: IntervalPoset) -> dict[int, int]:
     >>> children_histogram(poset_of(Permutation((2, 4, 1, 3))))
     {0: 4, 4: 1}
     """
-    rows = _rows(_mask_of(P.intervals, P.n), P.n)
+    rows = _rows(P.mask, P.n)
     sizes = [len(_children(rows, *v)) for v in P.intervals]
     return {k: sizes.count(k) for k in sorted(set(sizes))}
 
@@ -207,17 +211,23 @@ class FamilyVerdict:
 def _closure_violation_mask(mask: int, n: int):
     """First closure failure among properly overlapping pairs (I, J), I
     before J in (lo, hi) order, which is bit order, as ``(I, J, missing,
-    tag)``; None when there is none."""
-    right, width = _overlaps(n), n + 1
-    # members that nothing overlaps from the right start no inner loop
-    for i in filter(lambda i: right[i] & mask, _bits(mask)):
-        for j in _bits(right[i] & mask):
-            (a, b), (c, d) = divmod(i, width), divmod(j, width)
-            for (lo, hi), tag in (((c, b), "intersection"), ((a, d), "union"),
-                                  ((a, c - 1), "difference"),
-                                  ((b + 1, d), "difference")):
-                if not mask >> lo * width + hi & 1:
-                    return ((a, b), (c, d), (lo, hi), tag)
+    tag)``; None when there is none.  For I = (a, b) and a minimum c of J,
+    the maxima d > b all fail from the least on when (c, b) or (a, c - 1)
+    is missing, and otherwise fail where (a, d) or (b + 1, d) is."""
+    rows, width = _rows(mask, n), n + 1
+    for a in range(1, n):
+        for b in _bits(rows[a] >> a + 1 << a + 1):
+            for c in range(a + 1, b + 1):
+                ds = rows[c] >> b + 1 << b + 1
+                if ds and rows[c] >> b & rows[a] >> c - 1 & 1:
+                    ds &= ~(rows[a] & rows[b + 1])
+                if ds:
+                    d = (ds & -ds).bit_length() - 1
+                    for (lo, hi), tag in (
+                            ((c, b), "intersection"), ((a, d), "union"),
+                            ((a, c - 1), "difference"), ((b + 1, d), "difference")):
+                        if not mask >> lo * width + hi & 1:
+                            return ((a, b), (c, d), (lo, hi), tag)
     return None
 
 

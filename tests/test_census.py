@@ -267,6 +267,11 @@ def test_realize_rejects_out_of_range_interval():
         realize(fam, 4)
     with pytest.raises(ValueError, match=r"interval \(3, 2\) out of range"):
         realize({(1, 1), (2, 2), (1, 2), (3, 2)}, 2)
+    # the least bad interval is named, whatever the input order
+    bad = [(5, 2), (1, 1), (0, 9), (2, 2), (1, 2), (3, 0)]
+    for family in (bad, bad[::-1]):
+        with pytest.raises(ValueError, match=r"interval \(0, 9\) out of"):
+            realize(family, 2)
 
 
 def test_realize_cap():
@@ -476,15 +481,15 @@ def test_order_and_cap_are_checked_before_the_walk_is_read():
 def test_import_builds_no_per_order_table():
     """The per-order mask tables are built on first use, never at import,
     so importing the package stays cheap."""
-    probe = ("from polyposet import bijection, cli, polygon, poset\n"
+    probe = ("from polyposet import bijection, cli, polygon\n"
              "print(*[table.cache_info().currsize for table in "
-             "(poset._overlaps, bijection._image_table, polygon._table)])")
+             "(bijection._image_table, polygon._table)])")
     src = pathlib.Path(census.__file__).parent.parent
     result = subprocess.run([sys.executable, "-S", "-c", probe],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60,
                             check=True)
-    assert result.stdout.split() == ["0", "0", "0"]
+    assert result.stdout.split() == ["0", "0"]
 
 
 def test_walk_all_cap():

@@ -107,6 +107,30 @@ def test_is_tree_examples():
     assert not is_tree(poset_of(parse_permutation("5123647")))
 
 
+def test_poset_rejects_an_order_below_one():
+    with pytest.raises(ValueError, match="poset needs n >= 1"):
+        IntervalPoset(0, frozenset())
+
+
+def test_poset_holds_its_family_bitmask():
+    P = poset_of(parse_permutation("2413"))
+    assert P.mask == _mask_of(P.intervals, 4)
+    assert P == IntervalPoset(4, set(P.intervals)) and "mask" not in repr(P)
+
+
+def test_long_permutations_are_checked_without_per_order_tables():
+    """Orders far past the census caps: the checks read the family's rows,
+    so the work stays polynomial and small (the identity of order 500 has
+    125,250 intervals)."""
+    identity = poset_of(Permutation(tuple(range(1, 501))))
+    assert not is_tree(identity)
+    assert hasse_children(identity, (1, 500)) == [(1, 499), (2, 500)]
+    # 2 4 6 ... 500 1 3 ... 499: simple, so its poset is trivial, a tree
+    p = Permutation(tuple(range(2, 501, 2)) + tuple(range(1, 501, 2)))
+    assert is_tree(poset_of(p)) and len(poset_of(p)) == 501
+    assert validate_interval_family(poset_of(p).intervals, 500).ok
+
+
 def test_validate_rejects_missing_trivials():
     verdict = validate_interval_family({(1, 1), (2, 2), (1, 3)}, 3)
     assert not verdict.ok
