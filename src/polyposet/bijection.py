@@ -8,11 +8,10 @@ intervals contribute diagonals.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 # empty_faces and is_diagonally_framed stay importable here for the
 # benchmark's bijection.empty_faces and bijection.is_diagonally_framed hooks
-from .polygon import (Dissection, _table, all_diagonals,  # noqa: F401
+from .polygon import (Dissection, _read, _table,  # noqa: F401
                       empty_faces, is_diagonally_framed)
 from .poset import IntervalPoset
 
@@ -75,45 +74,15 @@ def classify_image(P: IntervalPoset) -> ImageClassification:
     return _classify_mask(P.mask, P.n)
 
 
-@functools.lru_cache(maxsize=None)
-def _image_table(n: int):
-    """``polygon``'s table of the (n+1)-gon turned round: 4-faces, 3-faces
-    and crossing pairs numbered in that order, then per diagonal {u, v} its
-    bit ``u * (n + 1) + v - 1`` in the scan's layout (the interval [u, v-1])
-    and the numbers of the faces it is a side of or the pairs it is in, of
-    the faces it enters, and of the pairs it frames; then the masks of the
-    4-face, 3-face and pair numbers."""
-    table = _table(n + 1)
-    faces = table.faces[4] + table.faces[3]
-    entries = ([(sides, pens, 0) for _, sides, pens in faces]
-               + [(pair, 0, frame) for pair, frame in table.frames])
-    rows = [(1 << u * (n + 1) + v - 1,
-             *(sum(1 << k for k, entry in enumerate(entries)
-                   if entry[column] >> i & 1) for column in range(3)))
-            for i, (u, v) in enumerate(all_diagonals(n + 1))]
-    quads, pairs = len(table.faces[4]), len(faces)
-    return (rows, (1 << quads) - 1, (1 << pairs) - (1 << quads),
-            (1 << len(entries)) - (1 << pairs))
-
-
 def _classify_mask(mask: int, n: int) -> ImageClassification:
     """``classify_image`` of the poset with this family bitmask (n >= 2),
-    with no poset or dissection built.  A face or crossing pair is open when
-    a side or member of it is missing.  A face is empty when it is neither
-    open nor entered by a present diagonal, the image is non-crossing when
-    every pair is open, and framed when no closed pair misses a frame chord.
-    """
-    rows, quads, triangles, pairs = _image_table(n)
-    opened = entered = unframed = 0
-    for bit, sides, pens, frames in rows:
-        if mask & bit:
-            entered |= pens
-        else:
-            opened |= sides
-            unframed |= frames
-    empty = ~(opened | entered)
+    with no poset or dissection built: the family's proper non-singleton
+    intervals are the image's diagonals in ``Dissection.mask``'s layout,
+    and its trivial intervals hold no diagonal bit."""
+    table = _table(n + 1)
+    empty, crossing, unframed = _read(mask, n + 1)
     return ImageClassification(
-        diagonally_framed=not unframed & ~opened,
-        quad_free=not empty & quads,
-        noncrossing=opened & pairs == pairs,
-        triangle_free=not empty & triangles)
+        diagonally_framed=not unframed,
+        quad_free=not empty & table.quads,
+        noncrossing=not crossing,
+        triangle_free=not empty & table.triangles)

@@ -11,10 +11,13 @@ combinatorially: a chord enters the hull interior iff face vertices lie
 strictly on both sides of it (equivalently, its endpoints do not share a
 closed arc between consecutive face vertices).
 
-The predicates read one bitmask table per m, built on first use (bit i
-is the i-th diagonal in lexicographic order), so each predicate is a few
-integer ANDs on ``Dissection.mask``.  Their per-call originals are kept as
-the reference in ``tests/oracles.py``.
+``Dissection.mask`` sets bit ``u * m + v - 1`` per diagonal {u, v}: the
+bit of the interval [u, v-1] in the census scan's layout, so a family's
+mask and its chord image's mask share their diagonal bits.  The predicates
+read one table per m, built on first use and keyed by those bits, in one
+walk over its rows per call; ``bijection`` reads the same table on family
+masks.  Their per-call originals are kept as the reference in
+``tests/oracles.py``.
 
 Enumeration is exhaustive and deterministic, and every class is built face
 by face, without the table.  The face on the side (1, m) takes its other
@@ -70,6 +73,9 @@ class Dissection:
 
     m = 2 is allowed as the degenerate image of the one-element poset and
     carries no diagonals.
+
+    >>> Dissection(5, frozenset({(1, 3), (2, 4)})).mask  # bits 1*5+2, 2*5+3
+    8320
     """
 
     m: int
@@ -94,13 +100,8 @@ class Dissection:
 
     @functools.cached_property
     def mask(self) -> int:
-        """Bit i set iff ``all_diagonals(m)[i]`` is present.
-
-        >>> Dissection(5, frozenset({(1, 3), (2, 4)})).mask
-        5
-        """
-        index = _table(self.m).index
-        return sum(1 << index[c] for c in self.diagonals)
+        """Bit ``u * m + v - 1`` set per diagonal {u, v}."""
+        return sum(1 << u * self.m + v - 1 for u, v in self.diagonals)
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
@@ -108,14 +109,6 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     p, q = c1
     r, s = c2
     return (p < r < q < s) or (r < p < s < q)
-
-
-def crossing_pairs(D: Dissection) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All crossing diagonal pairs, each oriented so the pair reads
-    ({p, q}, {r, s}) with p < r < q < s, in lexicographic order."""
-    diags, mask = all_diagonals(D.m), D.mask
-    return [tuple(diags[i] for i in _bits(pair))
-            for pair, _ in _table(D.m).frames if pair & mask == pair]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -128,68 +121,94 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclasses.dataclass(frozen=True)
 class _Table:
-    """Masks over the diagonals of one m-gon (bit i = all_diagonals(m)[i]).
-
-    faces[k]: every ascending k-tuple with its sides (the diagonals among
-    them) and its penetrators (the diagonals entering its open hull).
-    cross[i]: the diagonals crossing diagonal i.
-    frames: per crossing pair, lexicographically, the pair and the
-    diagonals among its four frame chords.
+    """The 4-faces, 3-faces and crossing pairs of one m-gon, numbered in
+    that order as ``items`` (faces as ascending vertex tuples, pairs as
+    two diagonals, each kind lexicographically); ``quads``, ``triangles``
+    and ``pairs`` mask each kind's numbers.  ``rows`` holds per diagonal
+    {u, v}, lexicographically, its ``Dissection.mask`` bit
+    ``u * m + v - 1`` and the masks of the numbers of the faces it is a
+    side of or the pairs it is in, of the faces it enters, and of the pairs
+    it frames.
     """
 
-    index: dict[tuple[int, int], int]
-    faces: dict[int, tuple[tuple[tuple[int, ...], int, int], ...]]
-    cross: tuple[int, ...]
-    frames: tuple[tuple[int, int], ...]
+    items: tuple[tuple, ...]
+    rows: tuple[tuple[int, int, int, int], ...]
+    quads: int
+    triangles: int
+    pairs: int
 
 
 @functools.lru_cache(maxsize=None)
 def _table(m: int) -> _Table:
-    diags = all_diagonals(m)
-    index = {c: i for i, c in enumerate(diags)}
-
-    def chord_mask(chords) -> int:
-        return sum(1 << index[c] for c in chords if not is_outer_edge(m, *c))
+    def ring(vertices):  # the sides of the polygon on ascending vertices
+        return {*zip(vertices, vertices[1:]), (vertices[0], vertices[-1])}
 
     def enters(face: tuple[int, ...], x: int, y: int) -> bool:
         return (any(x < f < y for f in face)
                 and any(f < x or f > y for f in face))
 
-    faces = {k: tuple((face,
-                       chord_mask([*zip(face, face[1:]), (face[0], face[-1])]),
-                       chord_mask(c for c in diags if enters(face, *c)))
-                      for face in itertools.combinations(range(1, m + 1), k))
-             for k in (3, 4)}
-    cross = [0] * len(diags)
-    frames = []
-    for i, j in itertools.combinations(range(len(diags)), 2):
-        if chords_cross(diags[i], diags[j]):
-            cross[i] |= 1 << j
-            cross[j] |= 1 << i
-            x1, x2, x3, x4 = sorted(diags[i] + diags[j])
-            frames.append(((1 << i) | (1 << j), chord_mask(
-                [(x1, x2), (x2, x3), (x3, x4), (x1, x4)])))
-    return _Table(index, faces, tuple(cross), tuple(frames))
+    def numbers(flags) -> int:
+        return sum(1 << k for k, flag in enumerate(flags) if flag)
+
+    diags = all_diagonals(m)
+    faces = [face for k in (4, 3)
+             for face in itertools.combinations(range(1, m + 1), k)]
+    pairs = [(c, d) for c, d in itertools.combinations(diags, 2)
+             if chords_cross(c, d)]
+    sides = [ring(face) for face in faces] + [set(pair) for pair in pairs]
+    frames = [ring(sorted(c + d)) for c, d in pairs]
+    rows = tuple((1 << u * m + v - 1,
+                  numbers((u, v) in s for s in sides),
+                  numbers(enters(face, u, v) for face in faces),
+                  numbers((u, v) in s for s in frames) << len(faces))
+                 for u, v in diags)
+    return _Table(tuple(faces + pairs), rows,
+                  numbers(len(face) == 4 for face in faces),
+                  numbers(len(face) == 3 for face in faces),
+                  (1 << len(sides)) - (1 << len(faces)))
+
+
+def _read(mask: int, m: int) -> tuple[int, int, int]:
+    """The numbers in ``_table(m)`` of the empty faces, the crossing pairs
+    and the crossing pairs missing a frame chord of the m-gon whose
+    diagonals are the bits of ``mask`` that are rows' bits; other bits are
+    ignored.  An item is open when a side or member of it is missing; a
+    face is empty when it is neither open nor entered by a present
+    diagonal, and a pair crosses when it is not open."""
+    table = _table(m)
+    opened = entered = unframed = 0
+    for bit, sides, pens, frames in table.rows:
+        if mask & bit:
+            entered |= pens
+        else:
+            opened |= sides
+            unframed |= frames
+    crossing = table.pairs & ~opened
+    return ((table.quads | table.triangles) & ~(opened | entered),
+            crossing, unframed & crossing)
+
+
+def crossing_pairs(D: Dissection) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """All crossing diagonal pairs, each oriented so the pair reads
+    ({p, q}, {r, s}) with p < r < q < s, in lexicographic order."""
+    items = _table(D.m).items
+    return [items[i] for i in _bits(_read(D.mask, D.m)[1])]
 
 
 def is_noncrossing(D: Dissection) -> bool:
-    cross, mask = _table(D.m).cross, D.mask
-    return not any(cross[i] & mask for i in _bits(mask))
+    return not _read(D.mask, D.m)[1]
 
 
 def is_diagonally_framed(D: Dissection) -> bool:
     """Every crossing pair {x1,x3}, {x2,x4} (x1<x2<x3<x4) must have all of
     {x1,x2}, {x2,x3}, {x3,x4}, {x1,x4} present as diagonals or outer edges."""
-    mask = D.mask
-    return all(pair & mask != pair or frame & mask == frame
-               for pair, frame in _table(D.m).frames)
+    return not _read(D.mask, D.m)[2]
 
 
 def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     """All ascending k-tuples bounding an empty face: every side present and
-    no chord of D inside the open hull, i.e. the face's side mask inside
-    ``D.mask`` and its penetrator mask disjoint from it.  Sides never enter
-    the hull, so they need no special casing.
+    no chord of D inside the open hull.  Sides never enter the hull, so
+    they need no special casing.
 
     >>> empty_faces(Dissection(4, frozenset()), 4)
     [(1, 2, 3, 4)]
@@ -198,9 +217,9 @@ def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"face size must be 3 or 4, got {k}")
-    mask = D.mask
-    return [face for face, sides, pens in _table(D.m).faces[k]
-            if sides & mask == sides and not pens & mask]
+    table = _table(D.m)
+    kind = table.quads if k == 4 else table.triangles
+    return [table.items[i] for i in _bits(_read(D.mask, D.m)[0] & kind)]
 
 
 def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:

@@ -24,8 +24,8 @@ from polyposet import (
 
 from polyposet import bijection, census
 from polyposet.census import Family
-from polyposet.polygon import _bits
-from polyposet.poset import IntervalPoset, _family_of_mask
+from polyposet.polygon import FRAMED_CAP, NONCROSSING_CAP
+from polyposet.poset import IntervalPoset, _family_of_mask, _trivial_mask
 
 from oracles import oracle_classify_image, oracle_realizers
 
@@ -222,22 +222,29 @@ def test_classify_tree_poset_is_noncrossing():
     assert flags.noncrossing is True
 
 
-def test_mask_classification_matches_the_image_dissection_on_every_family():
-    """The chord rule in the scan's layout against ``phi`` and
-    ``Dissection.mask``, and the image predicates read from the family
-    bitmask against those of the dissection ``phi(P)``, on every distinct
-    interval poset of orders 2..8."""
-    for n in range(2, 9):
-        rows = bijection._image_table(n)[0]
-        diagonal_bits = sum(row[0] for row in rows)
+def test_image_mask_is_the_family_mask_without_its_trivial_bits():
+    """One layout for intervals and chords: the image's diagonal bits are
+    the family's bits less the singletons and the full interval, on every
+    distinct interval poset of orders 1..8; and the image predicates read
+    from the family bitmask agree with those of the dissection ``phi(P)``."""
+    for n in range(1, 9):
         for mask in census._distinct_families(n, Family.ALL, None):
             P = IntervalPoset(n, frozenset(_family_of_mask(mask, n + 1)))
-            D = phi(P)
-            assert sum(rows[i][0] for i in _bits(D.mask)) \
-                == mask & diagonal_bits, P
-            expected = oracle_classify_image(P)
-            assert bijection._classify_mask(mask, n) == expected, P
-            assert classify_image(P) == expected, P
+            assert phi(P).mask == mask & ~_trivial_mask(n), P
+            if n >= 2:
+                expected = oracle_classify_image(P)
+                assert bijection._classify_mask(mask, n) == expected, P
+                assert classify_image(P) == expected, P
+
+
+def test_pullback_mask_is_the_dissection_mask_with_the_trivial_bits():
+    caps = {DissectionClass.FRAMED_QUAD_FREE: FRAMED_CAP,
+            DissectionClass.NONCROSSING_QUAD_FREE: NONCROSSING_CAP,
+            DissectionClass.NONCROSSING_TRI_QUAD_FREE: NONCROSSING_CAP}
+    for clazz, cap in caps.items():
+        for m in range(2, cap + 1):
+            for D in enumerate_dissections(m, clazz):
+                assert phi_inverse(D).mask == D.mask | _trivial_mask(m - 1), D
 
 
 def test_realizers_of_inverse_images_agree_with_oracle():

@@ -479,17 +479,16 @@ def test_order_and_cap_are_checked_before_the_walk_is_read():
 
 
 def test_import_builds_no_per_order_table():
-    """The per-order mask tables are built on first use, never at import,
+    """The per-order face table is built on first use, never at import,
     so importing the package stays cheap."""
-    probe = ("from polyposet import bijection, cli, polygon\n"
-             "print(*[table.cache_info().currsize for table in "
-             "(bijection._image_table, polygon._table)])")
+    probe = ("from polyposet import cli, polygon\n"
+             "print(polygon._table.cache_info().currsize)")
     src = pathlib.Path(census.__file__).parent.parent
     result = subprocess.run([sys.executable, "-S", "-c", probe],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60,
                             check=True)
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0"]
 
 
 def test_walk_all_cap():
