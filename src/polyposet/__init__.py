@@ -21,6 +21,6 @@ from .census import (CensusReport, CensusRow, Family, IdentityCheck,
                      MalformedLine, SequenceComparison, check_identities,
                      check_images, compare_counts, compare_with_bfile,
                      count_dissections, distinct_posets, load_bfile,
-                     poset_census, realize, run_census, walk_all)
+                     poset_census, realize, run_census)
 
 __version__ = "0.1.0"

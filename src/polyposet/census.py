@@ -9,17 +9,20 @@ interval, up to the verdict: the tree filter and the checks of ``poset``
 and ``bijection`` read the mask, and only canonical keys decode it.  The
 block-wise family prunes a prefix as soon as it holds a sum of two blocks,
 so no rejected permutation is ever completed; the others record whether
-the permutation holds a sum of three.  ``walk_all`` hands one scan of S_n
-to ``check_identities`` and the all and tree image checks; the block-wise
-check keeps its own pruned scan.  Above a per-family order the scan splits
-by first entry over one worker per CPU, and the merge keeps the first
-representative of each key in first-entry order, so results do not depend
-on the worker count.
+the permutation holds a sum of three.  ``_scan`` keeps its last scan, so
+``check_identities`` and the all and tree image checks of one order, run
+one after another as ``verify`` runs them, share one scan of S_n; the
+block-wise check reads its own pruned scan.  The kept dict is shared, and
+callers only read it.  Above a per-route order the scan splits by first
+entry over one worker per CPU, and the merge keeps the first representative
+of each key in first-entry order, so results do not depend on the worker
+count.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import multiprocessing
 import os
@@ -51,15 +54,12 @@ DEFAULT_POSET_CAPS = {
     Family.BLOCKWISE_SIMPLE: 10,
 }
 
-# highest order scanned serially whatever the CPU count: starting a pool
-# costs more than it saves there (2-CPU Xeon: the scan of S_7 takes 0.042 s
-# serial against 0.068 s pooled, the pruned block-wise scan of S_8 0.025 s
-# against 0.046 s)
-_SERIAL_THROUGH = {
-    Family.ALL: 7,
-    Family.TREE: 7,
-    Family.BLOCKWISE_SIMPLE: 8,
-}
+# highest order scanned serially whatever the CPU count, for the scan of all
+# permutations (False) and the pruned block-wise scan (True): starting a
+# pool costs more than it saves there (2-CPU Xeon: the scan of S_7 takes
+# 0.042 s serial against 0.068 s pooled, the pruned block-wise scan of S_8
+# 0.025 s against 0.046 s)
+_SERIAL_THROUGH = {False: 7, True: 8}
 
 PAIRED_CLASS = {
     Family.ALL: DissectionClass.FRAMED_QUAD_FREE,
@@ -174,19 +174,22 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     return found
 
 
-def _scan(n: int, family: Family) -> dict[int, tuple[int, ...]]:
+@functools.lru_cache(maxsize=1)
+def _scan(n: int, blockwise: bool) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> lexicographically least permutation of
-    order n in the family, in the order of those permutations.
+    order n, block-wise simple if ``blockwise``, in the order of those
+    permutations.  The last scan is kept, so checks of one order that read
+    the same scan one after another walk S_n once; the dict is shared, and
+    callers only read it.
 
-    Orders above the family's serial cutoff split the scan by first entry
+    Orders above the route's serial cutoff split the scan by first entry
     over a pool with one worker per CPU.  Each part is in lexicographic
     order and the parts come in order of first entry, so keeping the first
     representative of each key keeps the least one.
     """
-    jobs = [(n, first, family is Family.BLOCKWISE_SIMPLE)
-            for first in range(1, n + 1)]
+    jobs = [(n, first, blockwise) for first in range(1, n + 1)]
     threads = os.cpu_count() or 1
-    if threads <= 1 or n <= _SERIAL_THROUGH[family]:
+    if threads <= 1 or n <= _SERIAL_THROUGH[blockwise]:
         partials = [_scan_block(job) for job in jobs]
     else:
         with multiprocessing.Pool(min(threads, n)) as pool:
@@ -196,15 +199,6 @@ def _scan(n: int, family: Family) -> dict[int, tuple[int, ...]]:
         for key, entries in part.items():
             found.setdefault(key, entries)
     return found
-
-
-@dataclasses.dataclass(frozen=True)
-class Walk:
-    """The scan of all permutations of order n (see ``_scan``), made by
-    ``walk_all`` and read by any number of identity and image checks."""
-
-    n: int
-    keys: dict[int, tuple[int, ...]]
 
 
 def _check_order(n: int, cap: int | None = None, name: str = "",
@@ -219,42 +213,16 @@ def _check_order(n: int, cap: int | None = None, name: str = "",
         raise CapExceeded(f"n={n} exceeds the {name} cap {cap}{scope}")
 
 
-def walk_all(n: int, *, cap: int | None = None) -> Walk:
-    """One walk of all permutations of order n, under the census cap of the
-    all family (or ``cap``), to pass as ``walk=`` to ``check_identities``
-    and to the all and tree image checks of the same order."""
-    _check_order(n, DEFAULT_POSET_CAPS[Family.ALL] if cap is None else cap,
-                 "census", Family.ALL)
-    return Walk(n, _scan(n, Family.ALL))
-
-
-def _scan_or_walk(n: int, family: Family,
-                  walk: Walk | None) -> dict[int, tuple[int, ...]]:
-    """The scan of order n in the family: the given walk, or a new scan
-    when there is none.  A walk of another order, or one offered to the
-    block-wise family, whose pruned scan is its own route, is a
-    ``ValueError``."""
-    if walk is None:
-        return _scan(n, family)
-    if family is Family.BLOCKWISE_SIMPLE:
-        raise ValueError("the block-wise check takes no walk: it runs its "
-                         "own pruned scan")
-    if walk.n != n:
-        raise ValueError(f"a walk of order {walk.n} cannot check order {n}")
-    return walk.keys
-
-
-def _distinct_families(n: int, family: Family, cap: int | None,
-                       walk: Walk | None = None) -> dict[int, tuple[int, ...]]:
+def _distinct_families(n: int, family: Family,
+                       cap: int | None) -> dict[int, tuple[int, ...]]:
     """Family bitmask -> lexicographically least permutation of order n in
     the family with that interval set, in the order of those permutations.
     The tree family is the scan of all permutations kept to laminar masks.
-    The scan is ``walk`` when one is given (see ``_scan_or_walk``).
     """
     _check_order(n, DEFAULT_POSET_CAPS[family] if cap is None else cap,
                  "census", family)
     reps: dict[int, tuple[int, ...]] = {}
-    for key, entries in _scan_or_walk(n, family, walk).items():
+    for key, entries in _scan(n, family is Family.BLOCKWISE_SIMPLE).items():
         reps.setdefault(key >> 1, entries)
     if family is Family.TREE:
         return {mask: entries for mask, entries in reps.items()
@@ -461,8 +429,7 @@ class IdentityCheck:
     counterexample: str | None = None
 
 
-def check_identities(n: int, cap: int = IDENTITY_CAP, *,
-                     walk: Walk | None = None) -> list[IdentityCheck]:
+def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
     """Four exhaustive checks over S_n, reporting the lexicographically
     least counterexample:
 
@@ -475,15 +442,11 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
     - tree-iff-no-triple-sum: the interval poset is a tree exactly when the
       permutation has no three-block sum interval.
 
-    The walk is the census scan of all permutations: the least permutation
+    They read the census scan of all permutations: the least permutation
     of each (family mask, triple flag) pair, which ``poset``'s mask-level
     checks read with no tuple or poset built.  The triple flag is found per
     permutation by stacking blocks, so the last check sets two routes
-    against each other.
-
-    ``walk``, from ``walk_all(n)``, is read instead of a new scan; the
-    results are the same.  The order and cap are checked before it is
-    read, and a walk of another order is a ``ValueError``.
+    against each other.  The order and cap are checked before the scan.
     """
     _check_order(n, cap, "identity-check")
     simple_masks: set[int] = set()
@@ -495,7 +458,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP, *,
         if fails[check] is None:
             fails[check] = str(Permutation(entries))
 
-    for key, entries in _scan_or_walk(n, Family.ALL, walk).items():
+    for key, entries in _scan(n, False).items():
         mask = key >> 1
         if _closure_violation_mask(mask, n) is not None:
             note("overlap-closure", entries)
@@ -526,8 +489,8 @@ IMAGE_PREDICATES = {
 }
 
 
-def check_images(n: int, family: Family, *, cap: int | None = None,
-                 walk: Walk | None = None) -> IdentityCheck:
+def check_images(n: int, family: Family, *,
+                 cap: int | None = None) -> IdentityCheck:
     """Forward image check for one family at order n: the chord image of
     every distinct poset arising from the family satisfies the predicate
     bundle paired with it (framed and quad-free for all permutations;
@@ -535,11 +498,9 @@ def check_images(n: int, family: Family, *, cap: int | None = None,
     for block-wise simple permutations), read from each family's mask by
     ``bijection``.  A failure names the least permutation in the family
     whose poset's image fails; n = 1, the degenerate 2-gon, is vacuous.
-
-    The all and tree families read ``walk`` as ``check_identities`` does;
-    any walk for the block-wise family is a ``ValueError``.
+    The all and tree families read the scan ``check_identities`` reads.
     """
-    reps = _distinct_families(n, family, cap, walk)
+    reps = _distinct_families(n, family, cap)
     name = IMAGE_CHECK_NAMES[family]
     predicate = IMAGE_PREDICATES[family]
     if n == 1:

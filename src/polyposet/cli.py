@@ -16,7 +16,7 @@ from ._lines import read_pairs
 from .bijection import phi, phi_inverse
 from .census import (Family, IdentityCheck, REALIZE_CAP, check_identities,
                      check_images, compare_with_bfile, load_bfile, realize,
-                     run_census, walk_all)
+                     run_census)
 from .perm import all_intervals, is_block_wise_simple, is_simple, \
     parse_permutation
 from .polygon import CapExceeded, Dissection, is_diagonal, parse_dissection_text, \
@@ -149,12 +149,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify needs --max-n of at least 1 to check anything")
     all_pass = True
     for n in range(1, args.max_n + 1):
-        walk = walk_all(n, cap=args.max_n)
-        for check in check_identities(n, cap=args.max_n, walk=walk):
-            all_pass = _print_check(n, check) and all_pass
-        for family in Family:
-            shared = None if family is Family.BLOCKWISE_SIMPLE else walk
-            check = check_images(n, family, cap=args.max_n, walk=shared)
+        checks = check_identities(n, cap=args.max_n)
+        checks += [check_images(n, family, cap=args.max_n) for family in Family]
+        for check in checks:
             all_pass = _print_check(n, check) and all_pass
     return 0 if all_pass else 2
 

@@ -264,7 +264,8 @@ def _class_flags(clazz: DissectionClass) -> tuple[bool, bool]:
 
 
 def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
-    """Class membership test by the public predicates.
+    """Class membership test: the conditions of ``is_noncrossing`` or
+    ``is_diagonally_framed`` and of ``empty_faces``, from one ``_read``.
 
     The tri-free class exempts the undissected triangle itself (m = 3), the
     convention under which the class is never consulted below order 4.
@@ -272,9 +273,11 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
     noncrossing, tri_free = _class_flags(clazz)
     if D.m == 2:
         return True
-    return ((is_noncrossing(D) if noncrossing else is_diagonally_framed(D))
-            and not empty_faces(D, 4)
-            and not (tri_free and D.m > 3 and empty_faces(D, 3)))
+    faces, crossing, unframed = _read(D.mask, D.m)
+    table = _table(D.m)
+    return (not (crossing if noncrossing else unframed)
+            and not faces & table.quads
+            and not (tri_free and D.m > 3 and faces & table.triangles))
 
 
 def _enumerate(m: int, clazz: DissectionClass) -> list[frozenset[tuple[int, int]]]:

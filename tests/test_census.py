@@ -32,7 +32,6 @@ from polyposet import (
     poset_of,
     realize,
     run_census,
-    walk_all,
 )
 
 import polyposet.census as census
@@ -96,14 +95,13 @@ def test_poset_caps():
 def test_census_is_thread_count_invariant(family, n, monkeypatch):
     def run():
         order = min(n, census.IDENTITY_CAP)
-        walk = walk_all(order)
         return (poset_census(n, family), distinct_posets(n, family),
-                check_identities(order), check_identities(order, walk=walk),
-                [check_images(order, f, walk=walk)
-                 for f in (Family.ALL, Family.TREE)])
+                check_identities(order),
+                [check_images(order, f) for f in (Family.ALL, Family.TREE)])
 
     monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
     solo = run()
+    census._scan.cache_clear()  # the pooled run makes its own scans
     # no serial cutoff and three CPUs: every scan above runs on a pool
     real_pool, widths = census.multiprocessing.Pool, []
 
@@ -112,22 +110,25 @@ def test_census_is_thread_count_invariant(family, n, monkeypatch):
         return real_pool(width)
 
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(census, "_SERIAL_THROUGH", dict.fromkeys(Family, 0))
+    monkeypatch.setattr(census, "_SERIAL_THROUGH", {False: 0, True: 0})
     monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
     assert run() == solo
-    # the walk's checks read it and start no scan of their own
-    assert widths == [3, 3, 3, 3]
+    # one pool per real scan: the checks after the first read the kept
+    # scan, and block-wise n = 9 also scans all of S_8 for the checks
+    assert widths == ([3, 3] if family is Family.BLOCKWISE_SIMPLE else [3])
 
 
-@pytest.mark.parametrize("family, n", [(f, census._SERIAL_THROUGH[f])
-                                       for f in Family],
-                         ids=lambda v: getattr(v, "value", str(v)))
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, census._SERIAL_THROUGH[f is Family.BLOCKWISE_SIMPLE]) for f in Family],
+    ids=lambda v: getattr(v, "value", str(v)))
 def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
     expected = poset_census(n, family)
+    census._scan.cache_clear()
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
     assert poset_census(n, family) == expected
@@ -150,7 +151,7 @@ def test_scan_triple_flags_match_whole_permutation_sums():
     for n in range(1, 8):
         scanned = {(frozenset(census._family_of_mask(key >> 1, n + 1)),
                     key & 1): entries
-                   for key, entries in census._scan(n, Family.ALL).items()}
+                   for key, entries in census._scan(n, False).items()}
         expected = {}
         for entries in itertools.permutations(range(1, n + 1)):
             expected.setdefault(
@@ -352,7 +353,6 @@ def test_check_identities_matches_whole_permutation_walk():
     for n in range(1, 8):
         expected = oracle_check_identities(n)
         assert check_identities(n) == expected, n
-        assert check_identities(n, walk=walk_all(n)) == expected, n
 
 
 def _bit(lo, hi, n):
@@ -395,7 +395,6 @@ def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
     for n in (5, 6):
         checks = check_identities(n)
         assert checks == oracle_check_identities(n), n
-        assert check_identities(n, walk=walk_all(n)) == checks, n
         assert not {c.name: c.passed for c in checks}[failing], (n, checks)
 
 
@@ -418,13 +417,9 @@ def test_check_images_small_orders():
 
 def test_check_images_matches_whole_permutation_walk():
     for n in range(1, 8):
-        walk = walk_all(n)
         for family in Family:
             expected = oracle_check_images(n, family)
             assert check_images(n, family) == expected, (n, family)
-            if family is not Family.BLOCKWISE_SIMPLE:
-                assert check_images(n, family, walk=walk) == expected, \
-                    (n, family)
 
 
 # wrong on some images but not on the first one, so the reported
@@ -443,65 +438,43 @@ def test_check_images_reports_least_counterexample(family, monkeypatch):
     for n in (5, 6):
         check = check_images(n, family)
         assert check == oracle_check_images(n, family), n
-        if family is not Family.BLOCKWISE_SIMPLE:
-            assert check_images(n, family, walk=walk_all(n)) == check, n
         assert not check.passed and check.counterexample is not None, n
 
 
-def test_checks_reject_a_walk_they_cannot_read():
-    walk = walk_all(4)
-    with pytest.raises(ValueError, match="order 4"):
-        check_identities(5, walk=walk)
-    for family in (Family.ALL, Family.TREE):
-        with pytest.raises(ValueError, match="order 4"):
-            check_images(3, family, walk=walk)
-    # the block-wise check keeps its own pruned scan
-    with pytest.raises(ValueError, match="block-wise"):
-        check_images(4, Family.BLOCKWISE_SIMPLE, walk=walk)
+def test_order_and_cap_are_checked_before_the_walk_is_read(monkeypatch):
+    def no_scan(args):
+        raise AssertionError("a scan was started")
 
-
-class _UntouchableWalk:
-    def __getattr__(self, name):
-        raise AssertionError(f"the walk was read ({name})")
-
-
-def test_order_and_cap_are_checked_before_the_walk_is_read():
-    walk = _UntouchableWalk()
+    monkeypatch.setattr(census, "_scan_block", no_scan)
     with pytest.raises(CapExceeded):
-        check_identities(9, cap=8, walk=walk)
+        check_identities(9, cap=8)
     with pytest.raises(ValueError, match="at least 1"):
-        check_identities(0, walk=walk)
+        check_identities(0)
     for family in Family:
         with pytest.raises(CapExceeded):
-            check_images(12, family, walk=walk)
+            check_images(12, family)
         with pytest.raises(ValueError, match="at least 1"):
-            check_images(0, family, walk=walk)
+            check_images(0, family)
 
 
 def test_import_builds_no_per_order_table():
     """The per-order face table is built on first use, never at import,
     so importing the package stays cheap."""
-    probe = ("from polyposet import cli, polygon\n"
-             "print(polygon._table.cache_info().currsize)")
+    probe = ("from polyposet import census, cli, polygon\n"
+             "print(polygon._table.cache_info().currsize)\n"
+             "print(census._scan.cache_info().currsize)")
     src = pathlib.Path(census.__file__).parent.parent
     result = subprocess.run([sys.executable, "-S", "-c", probe],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=60,
                             check=True)
-    assert result.stdout.split() == ["0"]
-
-
-def test_walk_all_cap():
-    with pytest.raises(CapExceeded):
-        walk_all(9)
-    with pytest.raises(ValueError):
-        walk_all(0)
-    assert walk_all(3, cap=3).n == 3
+    assert result.stdout.split() == ["0", "0"]
 
 
 def test_order_and_cap_messages():
     for call, message in (
-            (lambda: walk_all(9), "n=9 exceeds the census cap 8 for all"),
+            (lambda: distinct_posets(9, Family.ALL),
+             "n=9 exceeds the census cap 8 for all"),
             (lambda: distinct_posets(9, Family.TREE),
              "n=9 exceeds the census cap 8 for tree"),
             (lambda: check_identities(9),
@@ -510,7 +483,8 @@ def test_order_and_cap_messages():
         with pytest.raises(CapExceeded) as err:
             call()
         assert str(err.value) == message
-    for call in (lambda: walk_all(0), lambda: check_identities(0),
+    for call in (lambda: distinct_posets(0, Family.ALL),
+                 lambda: check_identities(0),
                  lambda: realize([], 0),
                  lambda: run_census(Family.ALL, 3, min_n=0)):
         with pytest.raises(ValueError) as err:

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 import polyposet.census as census
-from polyposet.census import Family
 from polyposet.cli import run
 
 
@@ -321,19 +320,23 @@ def test_verify(capsys):
 
 
 def test_verify_walks_each_order_once(capsys, monkeypatch):
-    real_scan, calls = census._scan, Counter()
+    real_block, scans = census._scan_block, Counter()
 
-    def spy_scan(n, family):
-        calls[n, family is Family.BLOCKWISE_SIMPLE] += 1
-        return real_scan(n, family)
+    def spy_block(args):
+        n, first, blockwise = args
+        if first == 1:  # one real scan of (n, blockwise) starts here
+            scans[n, blockwise] += 1
+        return real_block(args)
 
-    monkeypatch.setattr(census, "_scan", spy_scan)
-    assert run(["verify", "--max-n", "6"]) == 0
-    assert "FAIL" not in out_of(capsys)
+    monkeypatch.setattr(census, "_scan_block", spy_block)
     # one walk of S_n for the identity, all and tree checks, one pruned
-    # block-wise scan
-    assert calls == {(n, blockwise): 1 for n in range(1, 7)
-                     for blockwise in (False, True)}
+    # block-wise scan; a second run in the same process reuses no scan
+    for _ in range(2):
+        scans.clear()
+        assert run(["verify", "--max-n", "6"]) == 0
+        assert "FAIL" not in out_of(capsys)
+        assert scans == {(n, blockwise): 1 for n in range(1, 7)
+                         for blockwise in (False, True)}
 
 
 def test_verify_max_n_zero_is_usage_error(capsys):

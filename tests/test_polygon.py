@@ -12,6 +12,7 @@ from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                faces_of_noncrossing, is_diagonally_framed,
                                is_noncrossing, parse_dissection_text,
                                satisfies_class, write_dissection_text)
+from polyposet import polygon
 from polyposet.polygon import _enumerate
 
 from oracles import (geometric_empty_faces, naive_class_dissections,
@@ -296,6 +297,24 @@ def test_satisfies_class_small():
     assert satisfies_class(dis(4, (1, 3)), DissectionClass.NONCROSSING_QUAD_FREE)
     assert not satisfies_class(dis(4, (1, 3)),
                                DissectionClass.NONCROSSING_TRI_QUAD_FREE)
+
+
+def test_satisfies_class_reads_the_face_table_once(monkeypatch):
+    members = list(enumerate_dissections(
+        9, DissectionClass.NONCROSSING_QUAD_FREE))
+    real_read, reads = polygon._read, []
+
+    def spy_read(mask, m):
+        reads.append(m)
+        return real_read(mask, m)
+
+    monkeypatch.setattr(polygon, "_read", spy_read)
+    for clazz in (DissectionClass.NONCROSSING_QUAD_FREE,
+                  DissectionClass.NONCROSSING_TRI_QUAD_FREE):
+        reads.clear()
+        for D in members:
+            satisfies_class(D, clazz)
+        assert len(reads) == len(members) == 1198, clazz
 
 
 def test_dissection_text_roundtrip():
