@@ -457,6 +457,47 @@ def test_order_and_cap_are_checked_before_the_walk_is_read(monkeypatch):
             check_images(0, family)
 
 
+def _count_real_scans(monkeypatch) -> dict:
+    """Spy on ``_scan_block``: (n, blockwise) -> real scans started."""
+    real_block, scans = census._scan_block, {}
+
+    def spy_block(args):
+        n, first, blockwise = args
+        if first == 1:  # one real scan of (n, blockwise) starts here
+            scans[n, blockwise] = scans.get((n, blockwise), 0) + 1
+        return real_block(args)
+
+    monkeypatch.setattr(census, "_scan_block", spy_block)
+    return scans
+
+
+def test_checks_of_one_order_share_one_scan(monkeypatch):
+    scans = _count_real_scans(monkeypatch)
+    expected = (oracle_check_identities(6),
+                [oracle_check_images(6, f) for f in (Family.ALL, Family.TREE)],
+                oracle_poset_census(6, Family.TREE))
+    assert (check_identities(6),
+            [check_images(6, f) for f in (Family.ALL, Family.TREE)],
+            poset_census(6, Family.TREE)) == expected
+    assert distinct_posets(6, Family.ALL) == len(poset_census(6, Family.ALL))
+    # the identity, all and tree reads of order 6 walk S_6 once
+    assert scans == {(6, False): 1}
+    assert check_images(6, Family.BLOCKWISE_SIMPLE) == \
+        oracle_check_images(6, Family.BLOCKWISE_SIMPLE)
+    assert scans == {(6, False): 1, (6, True): 1}
+
+
+def test_scan_cache_keeps_only_the_last_scan(monkeypatch):
+    scans = _count_real_scans(monkeypatch)
+    for n, blockwise in ((5, False), (6, False), (5, False), (5, True),
+                         (5, False)):
+        census._scan(n, blockwise)
+        assert census._scan.cache_info().currsize == 1
+    # a scan is reused only by the very next read of the same key
+    census._scan(5, False)
+    assert scans == {(5, False): 3, (6, False): 1, (5, True): 1}
+
+
 def test_import_builds_no_per_order_table():
     """The per-order face table is built on first use, never at import,
     so importing the package stays cheap."""
