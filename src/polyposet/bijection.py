@@ -3,7 +3,9 @@
 An interval [a, b] of values corresponds to the chord {a, b+1} of the
 (n+1)-gon.  Singleton intervals land on the outer edges {i, i+1} and the
 full interval on the outer edge {1, n+1}, so only the proper non-singleton
-intervals contribute diagonals.
+intervals contribute diagonals.  A family's bitmask thus holds its image's
+diagonal bits, and ``classify_image`` reads the image's four predicates from
+it; whether an image is in a class is ``polygon``'s decision.
 """
 from __future__ import annotations
 
@@ -67,20 +69,13 @@ def classify_image(P: IntervalPoset) -> ImageClassification:
 
     All four are reported exactly as computed — in particular the bare
     triangle at n = 2 counts as an empty triangular face.  They are read
-    from P's family bitmask by ``_classify_mask``.
+    from P's family bitmask, whose trivial intervals hold no diagonal bit,
+    with no dissection built.
     """
     if P.n < 2:
         raise ValueError("classification needs n >= 2 (the 2-gon has no predicates)")
-    return _classify_mask(P.mask, P.n)
-
-
-def _classify_mask(mask: int, n: int) -> ImageClassification:
-    """``classify_image`` of the poset with this family bitmask (n >= 2),
-    with no poset or dissection built: the family's proper non-singleton
-    intervals are the image's diagonals in ``Dissection.mask``'s layout,
-    and its trivial intervals hold no diagonal bit."""
-    table = _table(n + 1)
-    empty, crossing, unframed = _read(mask, n + 1)
+    table = _table(P.n + 1)
+    empty, crossing, unframed = _read(P.mask, P.n + 1)
     return ImageClassification(
         diagonally_framed=not unframed,
         quad_free=not empty & table.quads,

@@ -6,7 +6,7 @@ structural identity and image checks, and OEIS b-file cross-checks.
 Every poset-side route reads one prefix DFS over S_n (``_scan``), which
 keeps each distinct family as a bitmask, bit ``lo * (n + 1) + hi`` per
 interval, up to the verdict: the tree filter and the checks of ``poset``
-and ``bijection`` read the mask, and only canonical keys decode it.  The
+and ``polygon`` read the mask, and only canonical keys decode it.  The
 block-wise family prunes a prefix as soon as it holds a sum of two blocks,
 so no rejected permutation is ever completed; the others record whether
 the permutation holds a sum of three.  ``_scan`` keeps its last scan, so
@@ -31,10 +31,10 @@ from typing import IO, Iterable
 
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 # classify_image is re-exported for the benchmark's census.classify_image hook
-from .bijection import _classify_mask, classify_image  # noqa: F401
+from .bijection import classify_image  # noqa: F401
 from .perm import Permutation
-from .polygon import (DissectionClass, CapExceeded, check_dissection_cap,
-                      enumerate_dissections)
+from .polygon import (DissectionClass, CapExceeded, _in_class,
+                      check_dissection_cap, enumerate_dissections)
 from .poset import (_closure_violation_mask, _family_of_mask,
                     _is_laminar_mask, _mask_of, _three_descendant_violation_mask,
                     _trivial_mask, key_of_family)
@@ -481,32 +481,20 @@ IMAGE_CHECK_NAMES = {
     Family.BLOCKWISE_SIMPLE: "blockwise-image-noncrossing-tri-quad-free",
 }
 
-IMAGE_PREDICATES = {
-    Family.ALL: lambda c: c.diagonally_framed and c.quad_free,
-    Family.TREE: lambda c: c.noncrossing and c.quad_free,
-    Family.BLOCKWISE_SIMPLE:
-        lambda c: c.noncrossing and c.quad_free and c.triangle_free,
-}
-
 
 def check_images(n: int, family: Family, *,
                  cap: int | None = None) -> IdentityCheck:
     """Forward image check for one family at order n: the chord image of
-    every distinct poset arising from the family satisfies the predicate
-    bundle paired with it (framed and quad-free for all permutations;
-    non-crossing and quad-free for tree posets; additionally triangle-free
-    for block-wise simple permutations), read from each family's mask by
-    ``bijection``.  A failure names the least permutation in the family
-    whose poset's image fails; n = 1, the degenerate 2-gon, is vacuous.
-    The all and tree families read the scan ``check_identities`` reads.
+    every distinct poset arising from the family is in the family's paired
+    dissection class, which ``polygon`` decides on the family's mask.  A
+    failure names the least permutation in the family whose poset's image
+    fails.  The all and tree families read the scan ``check_identities``
+    reads.
     """
-    reps = _distinct_families(n, family, cap)
     name = IMAGE_CHECK_NAMES[family]
-    predicate = IMAGE_PREDICATES[family]
-    if n == 1:
-        return IdentityCheck(name, True)
-    for mask, entries in reps.items():
-        if not predicate(_classify_mask(mask, n)):
+    clazz = PAIRED_CLASS[family]
+    for mask, entries in _distinct_families(n, family, cap).items():
+        if not _in_class(mask, n + 1, clazz):
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)
 

@@ -150,44 +150,27 @@ def is_simple(p: Permutation) -> bool:
     return not any(0 < j - i < n - 1 for i, j, _, _ in _iter_blocks(p.entries))
 
 
-def _blocks_by_start(entries: Sequence[int]) -> list[list[tuple[int, int, int]]]:
-    """blocks[s] = [(end, lo, hi), ...] for every block starting at s (0-based)."""
-    blocks: list[list[tuple[int, int, int]]] = [[] for _ in entries]
-    for i, j, lo, hi in _iter_blocks(entries):
-        blocks[i].append((j, lo, hi))
-    return blocks
-
-
 def _tuple_has_sum_interval(entries: Sequence[int], parts: int) -> bool:
-    """Detection on a raw value tuple; see ``has_sum_interval``."""
-    n = len(entries)
-    if n < parts:
-        return False
-    blocks = _blocks_by_start(entries)
-    if parts == 2:
-        for s in range(n):
-            for j, lo1, hi1 in blocks[s]:
-                if j + 1 >= n:
-                    continue
-                for _, lo2, hi2 in blocks[j + 1]:
-                    # ascending (direct sum) or descending (skew sum)
-                    if lo2 == hi1 + 1 or hi2 == lo1 - 1:
-                        return True
-        return False
-    # parts == 3: three adjacent blocks, value ranges stacked the same way
-    for s in range(n):
-        for j, lo1, hi1 in blocks[s]:
-            if j + 2 >= n:
-                continue
-            for k, lo2, hi2 in blocks[j + 1]:
-                if k + 1 >= n:
-                    continue
-                if lo2 == hi1 + 1:
-                    if any(lo3 == hi2 + 1 for _, lo3, _ in blocks[k + 1]):
-                        return True
-                elif hi2 == lo1 - 1:
-                    if any(hi3 == lo2 - 1 for _, _, hi3 in blocks[k + 1]):
-                        return True
+    """Detection on a raw value tuple; see ``has_sum_interval``.
+
+    One pass over ``_iter_blocks``, which yields blocks by ascending start,
+    so every block ending just before a block's start has been seen.
+    ``ups[e]`` maps the hi of each block ending at position e - 1 to the
+    most blocks stacked upward that end with it, and ``downs[e]`` its lo to
+    the most stacked downward; a sum of ``parts`` exists exactly when a
+    stack reaches ``parts`` blocks (its last ``parts`` blocks form one).
+    A later block with the same end and hi (or lo) lies inside an earlier
+    one, which is a sum with it, so it stacks higher and may overwrite.
+    """
+    ups: list[dict[int, int]] = [{} for _ in range(len(entries) + 1)]
+    downs: list[dict[int, int]] = [{} for _ in range(len(entries) + 1)]
+    for i, j, lo, hi in _iter_blocks(entries):
+        up = ups[i].get(lo - 1, 0) + 1
+        down = downs[i].get(hi + 1, 0) + 1
+        if up >= parts or down >= parts:
+            return True
+        ups[j + 1][hi] = up
+        downs[j + 1][lo] = down
     return False
 
 

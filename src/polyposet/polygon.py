@@ -15,8 +15,10 @@ closed arc between consecutive face vertices).
 bit of the interval [u, v-1] in the census scan's layout, so a family's
 mask and its chord image's mask share their diagonal bits.  The predicates
 read one table per m, built on first use and keyed by those bits, in one
-walk over its rows per call; ``bijection`` reads the same table on family
-masks.  Their per-call originals are kept as the reference in
+walk over its rows per call.  Class membership is decided here alone, by
+``_in_class`` on a mask: ``satisfies_class`` asks it on a dissection, and
+``census`` on a family's mask, whose trivial bits are no row's bit.  The
+per-call originals of the predicates are kept as the reference in
 ``tests/oracles.py``.
 
 Enumeration is exhaustive and deterministic, and every class is built face
@@ -270,14 +272,21 @@ def satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:
     The tri-free class exempts the undissected triangle itself (m = 3), the
     convention under which the class is never consulted below order 4.
     """
+    return _in_class(D.mask, D.m, clazz)
+
+
+def _in_class(mask: int, m: int, clazz: DissectionClass) -> bool:
+    """``satisfies_class`` of the m-gon whose diagonals are the bits of
+    ``mask`` that are ``_table(m)``'s row bits; other bits are ignored, so
+    an interval family's mask asks for its chord image at m = n + 1."""
     noncrossing, tri_free = _class_flags(clazz)
-    if D.m == 2:
+    if m == 2:
         return True
-    faces, crossing, unframed = _read(D.mask, D.m)
-    table = _table(D.m)
+    faces, crossing, unframed = _read(mask, m)
+    table = _table(m)
     return (not (crossing if noncrossing else unframed)
             and not faces & table.quads
-            and not (tri_free and D.m > 3 and faces & table.triangles))
+            and not (tri_free and m > 3 and faces & table.triangles))
 
 
 def _enumerate(m: int, clazz: DissectionClass) -> list[frozenset[tuple[int, int]]]:

@@ -22,8 +22,8 @@ census by filtering whole permutations instead of pruning prefixes, the
 identity checks by a second walk of S_n that keys each permutation's family
 by string and finds its three-block sums on the whole permutation, and the
 image checks by a walk that selects each family's permutations through
-these oracles and classifies the image of every permutation's interval set
-through ``phi``.
+these oracles and tests the image ``phi`` of every permutation's interval
+set for its class with the per-call class oracle.
 """
 from __future__ import annotations
 
@@ -366,18 +366,18 @@ def oracle_classify_image(P: IntervalPoset) -> ImageClassification:
         triangle_free=not empty_faces(D, 3))
 
 
-def oracle_check_images(n: int, family: Family) -> IdentityCheck:
+def oracle_check_images(n: int, family: Family,
+                        rule=None) -> IdentityCheck:
     """``check_images`` by a walk of its own over S_n: a permutation is in
     the tree family when ``oracle_is_tree`` holds for its value-side
     intervals and in the block-wise family when it has no sum of two; the
-    first permutation in lexicographic order whose image fails the
-    family's predicate is the counterexample.  The predicate is looked up
-    in ``census.IMAGE_PREDICATES`` at call time, so a test can replace it
-    for both routes at once."""
+    first permutation in lexicographic order whose image ``phi(P)`` is not
+    in the family's class, looked up in ``census.PAIRED_CLASS`` at call
+    time, is the counterexample.  Membership is ``oracle_satisfies_class``
+    unless ``rule(mask, m, clazz)`` is given, on the image's mask, so a
+    test can set one wrong rule for both routes at once."""
     name = census.IMAGE_CHECK_NAMES[family]
-    if n == 1:
-        return IdentityCheck(name, True)
-    predicate = census.IMAGE_PREDICATES[family]
+    clazz = census.PAIRED_CLASS[family]
     fails: dict[frozenset[tuple[int, int]], bool] = {}
     for entries in itertools.permutations(range(1, n + 1)):
         if (family is Family.BLOCKWISE_SIMPLE
@@ -386,8 +386,10 @@ def oracle_check_images(n: int, family: Family) -> IdentityCheck:
         fam = frozenset(oracle_intervals(entries))
         if fam not in fails:
             in_family = family is not Family.TREE or oracle_is_tree(fam, n)
-            fails[fam] = in_family and not predicate(
-                oracle_classify_image(IntervalPoset(n, fam)))
+            D = phi(IntervalPoset(n, fam))
+            fails[fam] = in_family and not (
+                oracle_satisfies_class(D, clazz) if rule is None
+                else rule(D.mask, D.m, clazz))
         if fails[fam]:
             return IdentityCheck(name, False, str(Permutation(entries)))
     return IdentityCheck(name, True)

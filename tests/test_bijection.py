@@ -22,12 +22,13 @@ from polyposet import (
     validate_interval_family,
 )
 
-from polyposet import bijection, census
+from polyposet import census
 from polyposet.census import Family
-from polyposet.polygon import FRAMED_CAP, NONCROSSING_CAP
+from polyposet.polygon import FRAMED_CAP, NONCROSSING_CAP, _in_class
 from polyposet.poset import IntervalPoset, _family_of_mask, _trivial_mask
 
-from oracles import oracle_classify_image, oracle_realizers
+from oracles import oracle_classify_image, oracle_realizers, \
+    oracle_satisfies_class
 
 
 def pos(text):
@@ -225,16 +226,20 @@ def test_classify_tree_poset_is_noncrossing():
 def test_image_mask_is_the_family_mask_without_its_trivial_bits():
     """One layout for intervals and chords: the image's diagonal bits are
     the family's bits less the singletons and the full interval, on every
-    distinct interval poset of orders 1..8; and the image predicates read
-    from the family bitmask agree with those of the dissection ``phi(P)``."""
+    distinct interval poset of orders 1..8; the image predicates read from
+    the family bitmask agree with those of the dissection ``phi(P)``; and
+    through order 7 the class test on the family's mask agrees with the
+    per-call oracle on ``phi(P)`` for every class."""
     for n in range(1, 9):
         for mask in census._distinct_families(n, Family.ALL, None):
             P = IntervalPoset(n, frozenset(_family_of_mask(mask, n + 1)))
             assert phi(P).mask == mask & ~_trivial_mask(n), P
+            if n <= 7:
+                for clazz in DissectionClass:
+                    assert _in_class(mask, n + 1, clazz) == \
+                        oracle_satisfies_class(phi(P), clazz), (P, clazz)
             if n >= 2:
-                expected = oracle_classify_image(P)
-                assert bijection._classify_mask(mask, n) == expected, P
-                assert classify_image(P) == expected, P
+                assert classify_image(P) == oracle_classify_image(P), P
 
 
 def test_pullback_mask_is_the_dissection_mask_with_the_trivial_bits():

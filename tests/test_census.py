@@ -35,6 +35,7 @@ from polyposet import (
 )
 
 import polyposet.census as census
+from polyposet import bijection, polygon
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
     oracle_has_sum_interval, oracle_poset_census, oracle_realize_backtrack, \
@@ -422,23 +423,37 @@ def test_check_images_matches_whole_permutation_walk():
             assert check_images(n, family) == expected, (n, family)
 
 
-# wrong on some images but not on the first one, so the reported
-# permutation shows which failing poset is named
-WRONG_IMAGE_PREDICATES = {
-    Family.ALL: lambda c: c.triangle_free,
-    Family.TREE: lambda c: c.triangle_free,
-    Family.BLOCKWISE_SIMPLE: lambda c: not c.triangle_free,
+def _triangle_free(mask: int, m: int) -> bool:
+    return not polygon._read(mask, m)[0] & polygon._table(m).triangles
+
+
+# class rules that are wrong on some images but not on the first one, so
+# the reported permutation shows which failing poset is named
+WRONG_IMAGE_RULES = {
+    Family.ALL: lambda mask, m, clazz: _triangle_free(mask, m),
+    Family.TREE: lambda mask, m, clazz: _triangle_free(mask, m),
+    Family.BLOCKWISE_SIMPLE:
+        lambda mask, m, clazz: not _triangle_free(mask, m),
 }
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_check_images_reports_least_counterexample(family, monkeypatch):
-    monkeypatch.setitem(census.IMAGE_PREDICATES, family,
-                        WRONG_IMAGE_PREDICATES[family])
+    rule = WRONG_IMAGE_RULES[family]
+    monkeypatch.setattr(census, "_in_class", rule)
     for n in (5, 6):
         check = check_images(n, family)
-        assert check == oracle_check_images(n, family), n
+        assert check == oracle_check_images(n, family, rule), n
         assert not check.passed and check.counterexample is not None, n
+
+
+def test_check_images_builds_no_image_classification(monkeypatch):
+    def no_bundle(**flags):
+        raise AssertionError("an ImageClassification was built")
+
+    monkeypatch.setattr(bijection, "ImageClassification", no_bundle)
+    for family in Family:
+        assert check_images(6, family).passed, family
 
 
 def test_order_and_cap_are_checked_before_the_walk_is_read(monkeypatch):

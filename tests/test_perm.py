@@ -83,6 +83,11 @@ def test_sum_interval_examples():
     # 45312 = the skew sum of 12, 3, and 21 patterns over values
     assert has_sum_interval(parse_permutation("45312"), 2)
     assert has_sum_interval(parse_permutation("45312"), 3)
+    for n in range(1, 7):
+        for entries in itertools.permutations(range(1, n + 1)):
+            for parts in (2, 3):
+                assert has_sum_interval(Permutation(entries), parts) == \
+                    oracle_has_sum_interval(entries, parts), (entries, parts)
 
 
 def test_sum_interval_parts_validation():
