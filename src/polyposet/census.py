@@ -434,7 +434,8 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
     least counterexample:
 
     - simple-share-poset: all simple permutations (order >= 2) yield one
-      interval poset;
+      interval poset, the trivial one, once every family holds the n
+      singletons and (1, n): a family lacking one fails;
     - overlap-closure: unions, intersections and both differences of
       properly overlapping intervals are present in every interval poset;
     - no-three-descendants: no poset element has exactly 3 direct
@@ -449,7 +450,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
     against each other.  The order and cap are checked before the scan.
     """
     _check_order(n, cap, "identity-check")
-    simple_masks: set[int] = set()
+    trivial = _trivial_mask(n)
     fails: dict[str, str | None] = dict.fromkeys((
         "simple-share-poset", "overlap-closure", "no-three-descendants",
         "tree-iff-no-triple-sum"))
@@ -464,10 +465,8 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
             note("overlap-closure", entries)
         if _three_descendant_violation_mask(mask, n) is not None:
             note("no-three-descendants", entries)
-        if n >= 2 and mask.bit_count() == n + 1:
-            simple_masks.add(mask)
-            if len(simple_masks) > 1:
-                note("simple-share-poset", entries)
+        if trivial & ~mask:
+            note("simple-share-poset", entries)
         if _is_laminar_mask(mask, n) == bool(key & 1):
             note("tree-iff-no-triple-sum", entries)
 

@@ -11,11 +11,12 @@ combinatorially: a chord enters the hull interior iff face vertices lie
 strictly on both sides of it (equivalently, its endpoints do not share a
 closed arc between consecutive face vertices).
 
-``Dissection.mask`` sets bit ``u * m + v - 1`` per diagonal {u, v}: the
-bit of the interval [u, v-1] in the census scan's layout, so a family's
-mask and its chord image's mask share their diagonal bits.  The predicates
-read one table per m, built on first use and keyed by those bits, in one
-walk over its rows per call.  Class membership is decided here alone, by
+``Dissection.mask`` is ``poset``'s family mask of the intervals [u, v-1]
+of the diagonals {u, v}, so a family's mask and its chord image's mask
+share their diagonal bits.  The predicates read one table per m, built on
+first use and keyed by those bits, in one walk over its rows per call;
+the faces of a non-crossing dissection are read from the family's Hasse
+children instead.  Class membership is decided here alone, by
 ``_in_class`` on a mask: ``satisfies_class`` asks it on a dissection, and
 ``census`` on a family's mask, whose trivial bits are no row's bit.  The
 per-call originals of the predicates are kept as the reference in
@@ -40,6 +41,8 @@ import itertools
 from typing import Iterator
 
 from ._lines import read_pairs
+from .poset import (_bits, _children, _is_laminar_mask, _mask_of, _rows,
+                    _trivial_mask)
 
 FRAMED_CAP = 9
 NONCROSSING_CAP = 11
@@ -76,7 +79,7 @@ class Dissection:
     m = 2 is allowed as the degenerate image of the one-element poset and
     carries no diagonals.
 
-    >>> Dissection(5, frozenset({(1, 3), (2, 4)})).mask  # bits 1*5+2, 2*5+3
+    >>> Dissection(5, frozenset({(1, 3), (2, 4)})).mask  # [1, 2] and [2, 3]
     8320
     """
 
@@ -102,8 +105,8 @@ class Dissection:
 
     @functools.cached_property
     def mask(self) -> int:
-        """Bit ``u * m + v - 1`` set per diagonal {u, v}."""
-        return sum(1 << u * self.m + v - 1 for u, v in self.diagonals)
+        """``poset``'s family mask of the intervals [u, v-1] per diagonal."""
+        return _mask_of(((u, v - 1) for u, v in self.diagonals), self.m - 1)
 
 
 def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
@@ -113,22 +116,14 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return (p < r < q < s) or (r < p < s < q)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclasses.dataclass(frozen=True)
 class _Table:
     """The 4-faces, 3-faces and crossing pairs of one m-gon, numbered in
     that order as ``items`` (faces as ascending vertex tuples, pairs as
     two diagonals, each kind lexicographically); ``quads``, ``triangles``
     and ``pairs`` mask each kind's numbers.  ``rows`` holds per diagonal
-    {u, v}, lexicographically, its ``Dissection.mask`` bit
-    ``u * m + v - 1`` and the masks of the numbers of the faces it is a
+    {u, v}, lexicographically, its ``Dissection.mask`` bit, that of the
+    interval [u, v-1], and the masks of the numbers of the faces it is a
     side of or the pairs it is in, of the faces it enters, and of the pairs
     it frames.
     """
@@ -159,7 +154,7 @@ def _table(m: int) -> _Table:
              if chords_cross(c, d)]
     sides = [ring(face) for face in faces] + [set(pair) for pair in pairs]
     frames = [ring(sorted(c + d)) for c, d in pairs]
-    rows = tuple((1 << u * m + v - 1,
+    rows = tuple((_mask_of([(u, v - 1)], m - 1),
                   numbers((u, v) in s for s in sides),
                   numbers(enters(face, u, v) for face in faces),
                   numbers((u, v) in s for s in frames) << len(faces))
@@ -226,32 +221,25 @@ def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
 
 def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
     """The regions of a non-crossing dissection, each as its ascending
-    vertex tuple, sorted.  Splits recursively on any inner diagonal; a
-    dissection with crossing diagonals is a ``ValueError``.
+    vertex tuple, sorted; a dissection with crossing diagonals is a
+    ``ValueError``.  Its chord family, the trivial intervals included, is
+    laminar exactly when no two diagonals cross, and each non-singleton
+    interval [lo, hi] of it bounds one region: the minima of its Hasse
+    children, then hi + 1.  The 2-gon is its own region.
+
+    >>> faces_of_noncrossing(Dissection(5, frozenset({(1, 3)})))
+    [(1, 2, 3), (1, 3, 4, 5)]
     """
-    if not is_noncrossing(D):
+    n = D.m - 1
+    family = D.mask | _trivial_mask(n)
+    if not _is_laminar_mask(family, n):
         raise ValueError("dissection has crossing diagonals")
-    faces = []
-
-    def split(region: tuple[int, ...], chords: list[tuple[int, int]]):
-        if not chords:
-            faces.append(region)
-            return
-        u, v = chords[0]
-        iu, iv = region.index(u), region.index(v)
-        left = region[iu:iv + 1]
-        right = region[:iu + 1] + region[iv:]
-        left_chords, right_chords = [], []
-        for c in chords[1:]:
-            if u <= c[0] and c[1] <= v:
-                left_chords.append(c)
-            else:
-                right_chords.append(c)
-        split(left, left_chords)
-        split(right, right_chords)
-
-    split(tuple(range(1, D.m + 1)), D.sorted_diagonals())
-    return sorted(faces)
+    if n == 1:
+        return [(1, 2)]
+    rows = _rows(family, n)
+    return sorted((*(p for p, _ in _children(rows, lo, hi)), hi + 1)
+                  for lo in range(1, n)
+                  for hi in _bits(rows[lo] >> lo + 1 << lo + 1))
 
 
 def _class_flags(clazz: DissectionClass) -> tuple[bool, bool]:

@@ -5,15 +5,17 @@ permutations have equal posets exactly when they have the same intervals.
 Minimal elements are the singletons, the maximum is (1, n), and the cover
 relation is inclusion-maximality.  Children of a node are ordered by their
 minimum, which fixes the plane embedding used by the renderer.
+
+This module alone defines a family's bitmask layout (``_mask_of``) and
+reads its Hasse children from it (``_children``); ``polygon`` imports both.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._lines import read_pairs
 from .perm import Permutation, all_intervals
-from .polygon import _bits
 
 
 class ElementNotInPoset(KeyError):
@@ -83,6 +85,14 @@ def _mask_of(intervals, n: int) -> int:
     for row in reversed(rows):
         mask = mask << n + 1 | row
     return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _family_of_mask(mask: int, width: int) -> list[tuple[int, int]]:

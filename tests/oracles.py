@@ -6,11 +6,13 @@ of position windows, sum intervals by explicit window splitting, face
 emptiness by geometric segment-vs-hull tests on the unit circle and by the
 arc rule tested vertex tuple by vertex tuple, framedness and crossings by
 pairwise chord tests instead of the polygon module's per-m bitmask table,
-class enumeration by naive filtration of every diagonal subset through
-those per-call predicates, the framed search by its leaf-checking original,
-the non-crossing root-face construction by the backtracking search over
-every non-crossing dissection that it replaced, realization by scanning
-entire symmetric groups and by the backtracking search with per-interval
+the faces of a non-crossing dissection by splitting the polygon on its
+diagonals instead of reading Hasse children, class enumeration by naive
+filtration of every diagonal subset through those per-call predicates,
+the framed search by its leaf-checking original, the non-crossing
+root-face construction by the backtracking search over every
+non-crossing dissection that it replaced, realization by scanning entire
+symmetric groups and by the backtracking search with per-interval
 counters that the bitmask search replaced, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
 by those per-member children, laminarity, overlap closure,
@@ -317,7 +319,7 @@ def oracle_check_identities(n: int,
         raise ValueError("order must be at least 1")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the identity-check cap {cap}")
-    simple_keys: set[str] = set()
+    trivial = _trivial_intervals(n)
     fails: dict[str, str | None] = {"simple-share-poset": None,
                                     "overlap-closure": None,
                                     "no-three-descendants": None,
@@ -341,10 +343,8 @@ def oracle_check_identities(n: int,
             note("overlap-closure", entries)
         if not three_ok:
             note("no-three-descendants", entries)
-        if n >= 2 and len(fam) == n + 1:
-            simple_keys.add(key)
-            if len(simple_keys) > 1:
-                note("simple-share-poset", entries)
+        if not trivial <= fam:
+            note("simple-share-poset", entries)
         if tree == _tuple_has_sum_interval(entries, 3):
             note("tree-iff-no-triple-sum", entries)
 
@@ -502,6 +502,36 @@ def oracle_is_noncrossing(D: Dissection) -> bool:
     diags = D.sorted_diagonals()
     return not any(chords_cross(c1, c2)
                    for i, c1 in enumerate(diags) for c2 in diags[i + 1:])
+
+
+def oracle_faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
+    """The regions of a non-crossing dissection, sorted, by the recursive
+    split that the library's read of Hasse children replaced: the polygon
+    splits on its least diagonal, and each side on the diagonals inside
+    it."""
+    if not oracle_is_noncrossing(D):
+        raise ValueError("dissection has crossing diagonals")
+    faces = []
+
+    def split(region: tuple[int, ...], chords: list[tuple[int, int]]):
+        if not chords:
+            faces.append(region)
+            return
+        u, v = chords[0]
+        iu, iv = region.index(u), region.index(v)
+        left = region[iu:iv + 1]
+        right = region[:iu + 1] + region[iv:]
+        left_chords, right_chords = [], []
+        for c in chords[1:]:
+            if u <= c[0] and c[1] <= v:
+                left_chords.append(c)
+            else:
+                right_chords.append(c)
+        split(left, left_chords)
+        split(right, right_chords)
+
+    split(tuple(range(1, D.m + 1)), D.sorted_diagonals())
+    return sorted(faces)
 
 
 def oracle_satisfies_class(D: Dissection, clazz: DissectionClass) -> bool:

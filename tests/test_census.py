@@ -399,6 +399,24 @@ def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
         assert not {c.name: c.passed for c in checks}[failing], (n, checks)
 
 
+def test_simple_share_poset_fails_on_a_scan_dropping_a_trivial_bit(
+        monkeypatch):
+    # a scan that loses (1, 4) from the family of 2413 leaves no family with
+    # the n + 1 bits of the simple ones, which a count of such families
+    # passed
+    real_block = census._scan_block
+
+    def broken_block(args):
+        return {key & ~(_bit(1, 4, 4) << 1) if entries == (2, 4, 1, 3)
+                else key: entries for key, entries in real_block(args).items()}
+
+    monkeypatch.setattr(census, "_scan_block", broken_block)
+    checks = {c.name: c for c in check_identities(4)}
+    assert checks.pop("simple-share-poset") == census.IdentityCheck(
+        "simple-share-poset", False, "2413")
+    assert all(c.passed for c in checks.values()), checks
+
+
 def test_check_identities_cap():
     with pytest.raises(CapExceeded):
         check_identities(9)
@@ -525,6 +543,28 @@ def test_import_builds_no_per_order_table():
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.split() == ["0", "0"]
+
+
+def test_modules_import_in_one_direction():
+    """perm -> poset -> polygon -> bijection -> census: no module imports a
+    later one, so ``poset``, which alone holds the family layout and its
+    tree, loads without ``polygon``.  The package's ``__init__`` imports
+    every module, so the probe loads them into a bare package."""
+    chain = ["perm", "poset", "polygon", "bijection", "census"]
+    probe = ("import sys, types\n"
+             "package = types.ModuleType('polyposet')\n"
+             "package.__path__ = [sys.argv[1]]\n"
+             "sys.modules['polyposet'] = package\n"
+             f"chain = {chain!r}\n"
+             "for i, name in enumerate(chain):\n"
+             "    __import__('polyposet.' + name)\n"
+             "    print(name, *(later for later in chain[i + 1:]\n"
+             "                  if 'polyposet.' + later in sys.modules))")
+    package = pathlib.Path(census.__file__).parent
+    result = subprocess.run([sys.executable, "-S", "-c", probe, str(package)],
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.splitlines() == chain
 
 
 def test_order_and_cap_messages():

@@ -17,6 +17,7 @@ from polyposet.polygon import _enumerate
 
 from oracles import (geometric_empty_faces, naive_class_dissections,
                      oracle_arc_empty_faces, oracle_crossing_pairs,
+                     oracle_faces_of_noncrossing,
                      oracle_framed_quadfree_search,
                      oracle_is_diagonally_framed, oracle_is_noncrossing,
                      oracle_noncrossing_search, oracle_satisfies_class)
@@ -111,6 +112,36 @@ def test_faces_of_noncrossing_rejects_crossings():
         faces_of_noncrossing(dis(6, (1, 3), (1, 4), (2, 5)))
 
 
+def test_faces_match_recursive_split_on_the_tree_class():
+    for m in range(2, polygon.NONCROSSING_CAP + 1):
+        for D in enumerate_dissections(m,
+                                       DissectionClass.NONCROSSING_QUAD_FREE):
+            assert faces_of_noncrossing(D) == oracle_faces_of_noncrossing(D)
+
+
+def test_faces_match_recursive_split_on_random_dissections():
+    # random non-crossing dissections have faces of every size, which the
+    # quad-free class lacks; random subsets mostly cross and are refused
+    rng = random.Random(20261019)
+    for m in range(2, 10):
+        diags = all_diagonals(m)
+        for _ in range(200):
+            chosen = []
+            for c in rng.sample(diags, rng.randint(0, len(diags))):
+                if not any(chords_cross(c, other) for other in chosen):
+                    chosen.append(c)
+            D = Dissection(m, frozenset(chosen))
+            assert faces_of_noncrossing(D) == oracle_faces_of_noncrossing(D)
+            D = Dissection(m, frozenset(
+                rng.sample(diags, rng.randint(0, len(diags)))))
+            if oracle_is_noncrossing(D):
+                assert faces_of_noncrossing(D) == \
+                    oracle_faces_of_noncrossing(D)
+            else:
+                with pytest.raises(ValueError, match="crossing diagonals"):
+                    faces_of_noncrossing(D)
+
+
 @given(dissections)
 @settings(max_examples=150)
 def test_arc_rule_matches_geometric_oracle(D):
@@ -121,6 +152,7 @@ def test_arc_rule_matches_geometric_oracle(D):
 @given(dissections)
 @settings(max_examples=100)
 def test_noncrossing_faces_are_the_empty_faces(D):
+    # two routes: faces from Hasse children, empty faces from the table
     if not is_noncrossing(D):
         return
     faces = faces_of_noncrossing(D)
