@@ -9,7 +9,10 @@ interval, up to the verdict: the tree filter and the checks of ``poset``
 and ``polygon`` read the mask, and only canonical keys decode it.  The
 block-wise family prunes a prefix as soon as it holds a sum of two blocks,
 so no rejected permutation is ever completed; the others record whether
-the permutation holds a sum of three.  ``_scan`` keeps its last scan, so
+the permutation holds a sum of three.  Both complete only the permutations
+with p_1 < p_n: reversal keeps a permutation's intervals, turns a sum into
+a skew sum and keeps the block-wise family, so the other half of S_n holds
+no new key and no least representative.  ``_scan`` keeps its last scan, so
 ``check_identities`` and the all and tree image checks of one order, run
 one after another as ``verify`` runs them, share one scan of S_n; the
 block-wise check reads its own pruned scan.  The kept dict is shared, and
@@ -33,8 +36,10 @@ from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 # classify_image is re-exported for the benchmark's census.classify_image hook
 from .bijection import classify_image  # noqa: F401
 from .perm import Permutation
-from .polygon import (DissectionClass, CapExceeded, _in_class,
-                      check_dissection_cap, enumerate_dissections)
+# enumerate_dissections is re-exported for the benchmark's
+# census.enumerate_dissections hook
+from .polygon import (DissectionClass, CapExceeded, _in_class, _members,
+                      check_dissection_cap, enumerate_dissections)  # noqa: F401
 from .poset import (_closure_violation_mask, _family_of_mask,
                     _is_laminar_mask, _mask_of, _three_descendant_violation_mask,
                     _trivial_mask, key_of_family)
@@ -56,9 +61,10 @@ DEFAULT_POSET_CAPS = {
 
 # highest order scanned serially whatever the CPU count, for the scan of all
 # permutations (False) and the pruned block-wise scan (True): starting a
-# pool costs more than it saves there (2-CPU Xeon: the scan of S_7 takes
-# 0.042 s serial against 0.068 s pooled, the pruned block-wise scan of S_8
-# 0.025 s against 0.046 s)
+# pool costs more than it saves there (2-CPU Xeon, medians of 5: the scan
+# of S_7 takes 0.024 s serial against 0.028 s pooled, the pruned block-wise
+# scan of S_8 0.016 s against 0.027 s; one order up the pool wins, 0.097 s
+# against 0.127 s for S_8 and 0.106 s against 0.183 s block-wise for S_9)
 _SERIAL_THROUGH = {False: 7, True: 8}
 
 PAIRED_CLASS = {
@@ -94,6 +100,16 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     record the block as such a part.  When the block ending at i - 1 is
     itself a second part stacked the same way, the three form a sum of
     three, and ``triple`` records that the permutation has one.
+
+    Only permutations with p_1 < p_n are completed (n >= 2): ``above``
+    counts the values above the first entry still unplaced, and a prefix
+    that has placed them all before position n returns, so a first entry
+    of n yields nothing.  This loses no key and no least representative.
+    ``reverse(p)`` has the same intervals as ``p``; a sum of three read
+    backwards is a skew sum of three, and ``triple`` records both kinds;
+    the block-wise family rejects sums of two stacked either way.  So
+    ``p`` and ``reverse(p)`` share a key, and when p_1 > p_n the reverse
+    is the lexicographically smaller of the two.
     """
     n, first, blockwise = args
     width = n + 1
@@ -108,11 +124,13 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     downs = [0] * n
     found: dict[int, tuple[int, ...]] = {}
 
-    def extend(k: int, mask: int, triple: int):
+    def extend(k: int, mask: int, triple: int, above: int):
         if k == n:
             key = mask << 1 | triple
             if key not in found:
                 found[key] = tuple(entries)
+            return
+        if not above:  # p_n < p_1: the reverse is scanned instead
             return
         # values whose singleton continues a block ending at k - 1 upward
         # or downward (the adjacent +-1 pair is the smallest case); tested
@@ -164,13 +182,13 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
                 ups[k] = up_bits
                 downs[k] = down_bits
                 used[v] = True
-                extend(k + 1, grown, has_triple)
+                extend(k + 1, grown, has_triple, above - (v > first))
                 used[v] = False
 
     entries[0] = first
     his[0] = los[0] = 1 << first
     used[first] = True
-    extend(1, 1 << (first * width + first), 0)
+    extend(1, 1 << (first * width + first), 0, n - first)
     return found
 
 
@@ -185,7 +203,10 @@ def _scan(n: int, blockwise: bool) -> dict[int, tuple[int, ...]]:
     Orders above the route's serial cutoff split the scan by first entry
     over a pool with one worker per CPU.  Each part is in lexicographic
     order and the parts come in order of first entry, so keeping the first
-    representative of each key keeps the least one.
+    representative of each key keeps the least one.  Each part completes
+    only the permutations with p_1 < p_n, which hold every key's least
+    permutation (see ``_scan_block``); for n >= 2 the part of first entry n
+    is empty.
     """
     jobs = [(n, first, blockwise) for first in range(1, n + 1)]
     threads = os.cpu_count() or 1
@@ -258,14 +279,16 @@ def distinct_posets(n: int, family: Family, *, cap: int | None = None) -> int:
 
 def count_dissections(m: int, clazz: DissectionClass,
                       cap: int | None = None) -> int:
-    """Number of dissections of the m-gon in the class.
+    """Number of dissections of the m-gon in the class: the length of
+    ``enumerate_dissections``, with the same checks, but no ``Dissection``
+    built or sorted.
 
     >>> count_dissections(4, DissectionClass.FRAMED_QUAD_FREE)
     3
     >>> count_dissections(4, DissectionClass.NONCROSSING_QUAD_FREE)
     2
     """
-    return sum(1 for _ in enumerate_dissections(m, clazz, cap=cap))
+    return len(_members(m, clazz, cap))
 
 
 @dataclasses.dataclass(frozen=True)

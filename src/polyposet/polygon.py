@@ -333,6 +333,17 @@ def enumerate_dissections(m: int, clazz: DissectionClass,
     ...  enumerate_dissections(4, DissectionClass.FRAMED_QUAD_FREE)]
     [[(1, 3)], [(2, 4)], [(1, 3), (2, 4)]]
     """
+    for chosen in sorted(_members(m, clazz, cap),
+                         key=lambda s: (len(s), sorted(s))):
+        yield Dissection(m, chosen)
+
+
+def _members(m: int, clazz: DissectionClass,
+             cap: int | None = None) -> list[frozenset[tuple[int, int]]]:
+    """The class's diagonal sets on the m-gon, in construction order.  The
+    checks of ``enumerate_dissections`` and ``census.count_dissections``
+    are made here: an unknown class, m < 2 and m above the cap are
+    refused."""
     _class_flags(clazz)  # an unknown class is refused before anything else
     if m < 2:
         raise ValueError("polygon needs m >= 2")
@@ -340,11 +351,8 @@ def enumerate_dissections(m: int, clazz: DissectionClass,
     if m <= 3:
         # no diagonals exist; the bare triangle is exempt from the tri-free
         # rule (the class is consulted from order 4 on)
-        yield Dissection(m, frozenset())
-        return
-    for chosen in sorted(_enumerate(m, clazz),
-                         key=lambda s: (len(s), sorted(s))):
-        yield Dissection(m, chosen)
+        return [frozenset()]
+    return _enumerate(m, clazz)
 
 
 def write_dissection_text(D: Dissection) -> str:

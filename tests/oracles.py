@@ -21,6 +21,8 @@ mask-level checks replaced (a stack pass in nesting order, an all-pairs
 loop and a children sweep per member), the image classification by
 building the dissection ``phi(P)`` and asking its predicates, the poset
 census by filtering whole permutations instead of pruning prefixes, the
+census scan by the same prefix DFS without its reverse prune, so it
+completes the permutations with p_1 > p_n too, the
 identity checks by a second walk of S_n that keys each permutation's family
 by string and finds its three-block sums on the whole permutation, and the
 image checks by a walk that selects each family's permutations through
@@ -306,6 +308,97 @@ def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
         reps = {key: entries for key, entries in reps.items()
                 if _is_laminar(_intervals_of_entries(entries))}
     return reps
+
+
+def oracle_scan_block(args: tuple[int, int, bool],
+                      keep=None) -> dict[int, tuple[int, ...]]:
+    """``census._scan_block`` before the reverse prune: the same prefix
+    DFS, completing every permutation of its first entry, p_1 > p_n
+    included.  ``keep``, if given, is a test on a leaf's entries; a key is
+    then represented by its first leaf that passes it."""
+    n, first, blockwise = args
+    width = n + 1
+    entries = [0] * n
+    used = [False] * (n + 1)
+    his = [0] * n
+    los = [0] * n
+    ups = [0] * n
+    downs = [0] * n
+    found: dict[int, tuple[int, ...]] = {}
+
+    def extend(k: int, mask: int, triple: int):
+        if k == n:
+            key = mask << 1 | triple
+            if key not in found and (keep is None or keep(entries)):
+                found[key] = tuple(entries)
+            return
+        after_his = his[k - 1] << 1
+        stacked = after_his | los[k - 1] >> 1
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            up_bits = down_bits = 0
+            has_triple = triple
+            if stacked >> v & 1:
+                if blockwise:
+                    continue
+                if after_his >> v & 1:
+                    up_bits = 1 << v
+                    has_triple |= ups[k - 1] >> (v - 1) & 1
+                else:
+                    down_bits = 1 << v
+                    has_triple |= downs[k - 1] >> (v + 1) & 1
+            lo = hi = v
+            grown = mask | 1 << (v * width + v)
+            hi_bits = lo_bits = 1 << v
+            for i in range(k - 1, -1, -1):
+                e = entries[i]
+                if e < lo:
+                    lo = e
+                elif e > hi:
+                    hi = e
+                if hi - lo == k - i:
+                    if i and his[i - 1] >> (lo - 1) & 1:
+                        if blockwise:
+                            break
+                        up_bits |= 1 << hi
+                        has_triple |= ups[i - 1] >> (lo - 1) & 1
+                    elif i and los[i - 1] >> (hi + 1) & 1:
+                        if blockwise:
+                            break
+                        down_bits |= 1 << lo
+                        has_triple |= downs[i - 1] >> (hi + 1) & 1
+                    grown |= 1 << (lo * width + hi)
+                    hi_bits |= 1 << hi
+                    lo_bits |= 1 << lo
+            else:
+                entries[k] = v
+                his[k] = hi_bits
+                los[k] = lo_bits
+                ups[k] = up_bits
+                downs[k] = down_bits
+                used[v] = True
+                extend(k + 1, grown, has_triple)
+                used[v] = False
+
+    entries[0] = first
+    his[0] = los[0] = 1 << first
+    used[first] = True
+    extend(1, 1 << (first * width + first), 0)
+    return found
+
+
+def oracle_scan(n: int, blockwise: bool,
+                keep=None) -> dict[int, tuple[int, ...]]:
+    """``census._scan`` before the reverse prune, serially: the parts of
+    ``oracle_scan_block`` merged in order of first entry, keeping each
+    key's first representative."""
+    found: dict[int, tuple[int, ...]] = {}
+    for first in range(1, n + 1):
+        for key, entries in oracle_scan_block((n, first, blockwise),
+                                              keep).items():
+            found.setdefault(key, entries)
+    return found
 
 
 def oracle_check_identities(n: int,

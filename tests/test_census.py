@@ -39,7 +39,7 @@ from polyposet import bijection, polygon
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
     oracle_has_sum_interval, oracle_poset_census, oracle_realize_backtrack, \
-    oracle_realizers
+    oracle_realizers, oracle_scan
 
 
 FAN_FAMILY = frozenset(
@@ -70,6 +70,25 @@ def test_count_dissections_small():
     assert count_dissections(4, DissectionClass.FRAMED_QUAD_FREE) == 3
     assert count_dissections(4, DissectionClass.NONCROSSING_QUAD_FREE) == 2
     assert count_dissections(8, DissectionClass.NONCROSSING_TRI_QUAD_FREE) == 5
+
+
+def test_count_dissections_is_the_length_of_the_enumeration():
+    for clazz in DissectionClass:
+        top = polygon.FRAMED_CAP if clazz is DissectionClass.FRAMED_QUAD_FREE \
+            else polygon.NONCROSSING_CAP
+        for m in range(2, top + 1):
+            assert count_dissections(m, clazz) == \
+                len(list(enumerate_dissections(m, clazz))), (clazz, m)
+        # the same refusals, with the same messages
+        for m, cap, error in ((top + 1, None, CapExceeded),
+                              (6, 5, CapExceeded), (1, None, ValueError)):
+            with pytest.raises(error) as counted:
+                count_dissections(m, clazz, cap)
+            with pytest.raises(error) as enumerated:
+                list(enumerate_dissections(m, clazz, cap))
+            assert str(counted.value) == str(enumerated.value), (clazz, m)
+    with pytest.raises(ValueError, match="unknown class"):
+        count_dissections(5, "framed")
 
 
 def test_compare_counts_row():
@@ -165,6 +184,66 @@ def test_blockwise_representatives_have_no_sum_of_two():
     for n in range(1, 10):
         for entries in poset_census(n, Family.BLOCKWISE_SIMPLE).values():
             assert not oracle_has_sum_interval(entries, 2), entries
+
+
+SCAN_ORDERS = [(False, n) for n in range(1, 9)] + \
+    [(True, n) for n in range(1, 10)]
+
+
+def test_scan_matches_the_unpruned_scan_serial_and_pooled(monkeypatch):
+    # the reverse prune keeps every key, representative and their order,
+    # on either route
+    expected = {(blockwise, n): list(oracle_scan(n, blockwise).items())
+                for blockwise, n in SCAN_ORDERS}
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    for blockwise, n in SCAN_ORDERS:
+        assert list(census._scan(n, blockwise).items()) \
+            == expected[blockwise, n], ("serial", blockwise, n)
+    census._scan.cache_clear()
+    real_pool, pools = census.multiprocessing.Pool, []
+
+    def spy_pool(width):
+        pools.append(width)
+        return real_pool(width)
+
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(census, "_SERIAL_THROUGH", {False: 0, True: 0})
+    monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
+    for blockwise, n in SCAN_ORDERS:
+        assert list(census._scan(n, blockwise).items()) \
+            == expected[blockwise, n], ("pooled", blockwise, n)
+    assert pools == [min(3, n) for _, n in SCAN_ORDERS]
+
+
+def test_unpruned_representatives_end_above_their_first_entry():
+    # the prune's premise, checked on the scan that completes every
+    # permutation: each key's least permutation has p_1 < p_n
+    for blockwise in (False, True):
+        for n in range(2, 8):
+            for entries in oracle_scan(n, blockwise).values():
+                assert entries[0] < entries[-1], (blockwise, entries)
+
+
+def test_a_prune_on_the_wrong_side_changes_every_representative():
+    # keeping p_1 > p_n instead still finds every key, since a reverse
+    # shares its key, but never its least permutation
+    for blockwise, orders in ((False, range(2, 8)), (True, range(4, 8))):
+        for n in orders:
+            wrong = oracle_scan(n, blockwise,
+                                keep=lambda entries: entries[0] > entries[-1])
+            right = census._scan(n, blockwise)
+            assert wrong.keys() == right.keys(), (blockwise, n)
+            assert all(wrong[key] != entries
+                       for key, entries in right.items()), (blockwise, n)
+
+
+def test_a_scan_starting_with_its_largest_value_is_empty():
+    for blockwise in (False, True):
+        for n in range(2, 7):
+            assert census._scan_block((n, n, blockwise)) == {}, (blockwise, n)
+        # order 1: the one permutation is its own reverse
+        assert census._scan_block((1, 1, blockwise)) == \
+            {_bit(1, 1, 1) << 1: (1,)}
 
 
 # ---------------------------------------------------------------------------
