@@ -35,14 +35,15 @@ from typing import IO, Iterable
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 # classify_image is re-exported for the benchmark's census.classify_image hook
 from .bijection import classify_image  # noqa: F401
-from .perm import Permutation
+from .perm import Permutation, _intervals_of_entries
 # enumerate_dissections is re-exported for the benchmark's
 # census.enumerate_dissections hook
 from .polygon import (DissectionClass, CapExceeded, _in_class, _members,
                       check_dissection_cap, enumerate_dissections)  # noqa: F401
 from .poset import (_closure_violation_mask, _family_of_mask,
-                    _is_laminar_mask, _mask_of, _three_descendant_violation_mask,
-                    _trivial_mask, key_of_family)
+                    _is_laminar_mask, _mask_of, _node, _rows,
+                    _three_descendant_violation_mask, _trivial_mask,
+                    key_of_family)
 
 
 class Family(enum.Enum):
@@ -389,14 +390,23 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     equals the given family, or None.  An interval outside 1..n is an input
     error (``ValueError``), not an unrealizable family.
 
-    A prefix DFS in the scan's layout places values left to right in
-    increasing order.  ``allowed`` is the family's bitmask, ``spans`` the
-    value bitmask of each interval of two or more values, and ``used`` the
-    values placed so far.
-    Two prunes make leaves exactly the realizers: the candidates are the
-    unused values inside every span that is partly used (the values of an
-    interval occupy consecutive positions), and a candidate is rejected when
-    a window ending at it forms a block whose bit is not in ``allowed``.
+    The answer is composed from the family's substitution-decomposition
+    tree (``poset._node``), read from (1, n) down.  A linear node is
+    increasing, placing its parts in value order, except under an
+    increasing linear node, where it must be decreasing (two increasing
+    nodes would merge into one), placing them in reverse.  A prime node of
+    arity k places its parts by ``_simple_pattern(k)``.  This is the least
+    realizer: sibling parts hold disjoint value ranges, so at the first
+    position where two orders of the same parts differ, the part of
+    smaller rank holds all the smaller values, and the order of the parts
+    decides before their contents do.  Each part's contents are then
+    chosen independently, except that a linear part's orientation is
+    forced by its parent; increasing puts the lowest part first.
+
+    The composed permutation is returned only when its own intervals are
+    exactly the family; otherwise (the tree reading assumes a realizable
+    family) the answer is ``_search``'s, so a None never rests on the
+    decomposition theorem.
 
     >>> singles = {(i, i) for i in range(1, 5)}
     >>> str(realize(singles | {(1, 4)}, 4))
@@ -405,13 +415,64 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     True
     """
     _check_order(n, cap, "realization")
-    width = n + 1
     allowed = _mask_of(intervals, n)
-    spans = [(1 << hi + 1) - (1 << lo)
-             for lo, hi in _family_of_mask(allowed, width) if lo < hi]
+    entries = _compose(allowed, n)
+    if entries is None or _mask_of(_intervals_of_entries(entries), n) != allowed:
+        entries = _search(allowed, n)
+    return None if entries is None else Permutation(entries)
+
+
+def _compose(allowed: int, n: int) -> tuple[int, ...] | None:
+    """The permutation the decomposition tree of the family mask spells
+    (see ``realize``), or None where the tree cannot be read: a trivial
+    interval missing, a prime node whose parts overlap, or a prime arity
+    with no simple permutation."""
+    if _trivial_mask(n) & ~allowed:
+        return None
+    rows = _rows(allowed, n)
+    out: list[int] = []
+
+    def place(lo: int, hi: int, under_increasing: bool) -> bool:
+        if lo == hi:
+            out.append(lo)
+            return True
+        linear, parts = _node(rows, lo, hi)
+        if linear:
+            if under_increasing:
+                parts.reverse()
+            return all(place(a, b, not under_increasing) for a, b in parts)
+        if any(right[0] != left[1] + 1 for left, right in zip(parts, parts[1:])):
+            return False
+        pattern = _simple_pattern(len(parts))
+        return pattern is not None and all(place(*parts[rank - 1], False)
+                                           for rank in pattern)
+
+    return tuple(out) if place(1, n, False) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _simple_pattern(k: int) -> tuple[int, ...] | None:
+    """The lexicographically least simple permutation of order k, which is
+    ``_search``'s realizer of the trivial family; None for k = 3."""
+    return _search(_trivial_mask(k), k)
+
+
+def _search(allowed: int, n: int) -> tuple[int, ...] | None:
+    """The lexicographically least realizer of the family mask, or None,
+    by a prefix DFS in the scan's layout that places values left to right
+    in increasing order.  ``spans`` is the value bitmask of each interval
+    of two or more values, and ``used`` the values placed so far.
+    Two prunes make leaves exactly the realizers: the candidates are the
+    unused values inside every span that is partly used (the values of an
+    interval occupy consecutive positions), and a candidate is rejected when
+    a window ending at it forms a block whose bit is not in ``allowed``.
+    """
     # the singletons and (1, n), which every permutation has
     if _trivial_mask(n) & ~allowed:
         return None
+    width = n + 1
+    spans = [(1 << hi + 1) - (1 << lo)
+             for lo, hi in _family_of_mask(allowed, width) if lo < hi]
     entries = [0] * n
     values = (1 << width) - 2
 
@@ -440,9 +501,7 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
                     return True
         return False
 
-    if extend(0, 0):
-        return Permutation(tuple(entries))
-    return None
+    return tuple(entries) if extend(0, 0) else None
 
 
 @dataclasses.dataclass(frozen=True)

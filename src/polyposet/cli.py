@@ -199,7 +199,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_inverse)
 
     p = sub.add_parser("realize",
-                       help="search the permutation with a given interval set")
+                       help="print the lexicographically least permutation "
+                            "with this interval set, or none")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--intervals", required=True,
                    help="file of 'lo hi' lines ('-' for stdin)")

@@ -8,6 +8,8 @@ minimum, which fixes the plane embedding used by the renderer.
 
 This module alone defines a family's bitmask layout (``_mask_of``) and
 reads its Hasse children from it (``_children``); ``polygon`` imports both.
+``census`` reads the family's substitution-decomposition tree from it
+(``_node``).
 """
 from __future__ import annotations
 
@@ -128,6 +130,29 @@ def _children(rows: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
             children.append((p, top))
             reach = top
     return children
+
+
+def _node(rows: list[int], lo: int, hi: int) -> tuple[bool, list[tuple[int, int]]]:
+    """The substitution-decomposition node at (lo, hi), as ``(linear,
+    parts)`` with parts by ascending value.  A split point is an e with
+    both (lo, e) and (e + 1, hi) members.  When there are some, the node
+    is linear (a direct or skew sum) and its parts are the ranges between
+    consecutive split points; otherwise it is prime and its parts are its
+    Hasse children.  On a realizable family the parts are the maximal
+    members strictly inside that properly overlap no other member.
+
+    >>> rows = _rows(_mask_of(all_intervals(Permutation((1, 3, 2))), 3), 3)
+    >>> _node(rows, 1, 3), _node(rows, 2, 3)
+    ((True, [(1, 1), (2, 3)]), (True, [(2, 2), (3, 3)]))
+    >>> rows = _rows(_mask_of(all_intervals(Permutation((2, 4, 1, 3))), 4), 4)
+    >>> _node(rows, 1, 4)
+    (False, [(1, 1), (2, 2), (3, 3), (4, 4)])
+    """
+    splits = [e for e in _bits(rows[lo] & (1 << hi) - (1 << lo))
+              if rows[e + 1] >> hi & 1]
+    if not splits:
+        return False, _children(rows, lo, hi)
+    return True, [(a + 1, b) for a, b in zip([lo - 1] + splits, splits + [hi])]
 
 
 def _is_laminar_mask(mask: int, n: int) -> bool:

@@ -15,7 +15,9 @@ non-crossing dissection that it replaced, realization by scanning entire
 symmetric groups and by the backtracking search with per-interval
 counters that the bitmask search replaced, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
-by those per-member children, laminarity, overlap closure,
+by those per-member children, decomposition-tree children as the maximal
+members that properly overlap no other, found pair by pair, the least
+simple permutation of each order by a scan of S_k, laminarity, overlap closure,
 three-descendants and the family verdict by the tuple routines that the
 mask-level checks replaced (a stack pass in nesting order, an all-pairs
 loop and a children sweep per member), the image classification by
@@ -181,6 +183,25 @@ def oracle_children(family, v) -> list[tuple[int, int]]:
     return sorted((w for w in below
                    if not any(x != w and _inside(x, w) for x in below)),
                   key=lambda iv: iv[0])
+
+
+def oracle_decomposition_children(family, v) -> list[tuple[int, int]]:
+    """Children of v in the substitution-decomposition tree: the maximal
+    members strictly inside v that properly overlap no other member, found
+    by testing every pair of members, in ascending-minimum order."""
+    strong = [w for w in family
+              if not any(x[0] < w[0] <= x[1] < w[1] or w[0] < x[0] <= w[1] < x[1]
+                         for x in family)]
+    return oracle_children(strong, v)
+
+
+def oracle_least_simple(k: int) -> tuple[int, ...] | None:
+    """The lexicographically least simple permutation of order k, by
+    testing every permutation of S_k for a proper interval."""
+    for p in itertools.permutations(range(1, k + 1)):
+        if oracle_intervals(p) == _trivial_intervals(k):
+            return p
+    return None
 
 
 def oracle_is_tree(family, n: int) -> bool:

@@ -36,6 +36,8 @@ from polyposet import (
 
 import polyposet.census as census
 from polyposet import bijection, polygon
+from polyposet.perm import is_simple
+from polyposet.poset import _family_of_mask
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
     oracle_has_sum_interval, oracle_poset_census, oracle_realize_backtrack, \
@@ -409,6 +411,64 @@ def trivial_plus_proper(draw):
 def test_realize_matches_backtracking_on_random_families(case):
     n, fam = case
     assert realize(fam, n) == oracle_realize_backtrack(fam, n)
+
+
+def _scan_families(n: int, family: Family):
+    """(interval family, least representative) of every scan family."""
+    for mask, entries in census._distinct_families(n, family, None).items():
+        yield _family_of_mask(mask, n + 1), entries
+
+
+def test_realize_is_the_scan_representative():
+    for n, family in ([(n, Family.ALL) for n in range(1, 9)]
+                      + [(n, Family.BLOCKWISE_SIMPLE) for n in (9, 10)]):
+        for intervals, entries in _scan_families(n, family):
+            assert realize(intervals, n, cap=n).entries == entries
+
+
+def test_realize_matches_backtracking_on_every_small_family():
+    seen = unrealizable = 0
+    for n in range(1, 6):
+        proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                  if (a, b) != (1, n)]
+        trivial = {(i, i) for i in range(1, n + 1)} | {(1, n)}
+        for size in range(len(proper) + 1):
+            for extra in itertools.combinations(proper, size):
+                fam = trivial | set(extra)
+                want = oracle_realize_backtrack(fam, n)
+                assert realize(fam, n) == want, (n, extra)
+                seen += 1
+                unrealizable += want is None
+    # the realizable ones are the 1 + 1 + 3 + 12 + 52 distinct posets
+    assert (seen, unrealizable) == (550, 550 - 69)
+
+
+def test_realize_composes_every_scan_family_without_searching(monkeypatch):
+    # a wrong orientation or pattern on a realizable family would still
+    # return the right answer through the search, only slower
+    calls = []
+    search = census._search
+
+    def spy(allowed, n):
+        calls.append((allowed, n))
+        return search(allowed, n)
+
+    monkeypatch.setattr(census, "_search", spy)
+    census._simple_pattern.cache_clear()
+    for n in range(1, 8):
+        for intervals, entries in _scan_families(n, Family.ALL):
+            assert realize(intervals, n).entries == entries
+    # the only searches filled the pattern cache, once per prime arity
+    assert [n for _, n in calls] == [4, 5, 6, 7]
+    assert all(allowed == census._trivial_mask(n) for allowed, n in calls)
+    assert census._simple_pattern.cache_info().misses == len(calls)
+
+
+def test_simple_pattern_is_the_least_simple_permutation():
+    for k in range(1, 8):
+        assert census._simple_pattern(k) == oracles.oracle_least_simple(k), k
+    for k in range(4, 11):
+        assert is_simple(Permutation(census._simple_pattern(k))), k
 
 
 # ---------------------------------------------------------------------------

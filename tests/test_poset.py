@@ -10,7 +10,7 @@ from polyposet.perm import Permutation, all_intervals, is_simple, \
     parse_permutation
 from polyposet.poset import (ElementNotInPoset, IntervalPoset,
                              _closure_violation_mask, _family_of_mask,
-                             _is_laminar_mask, _mask_of,
+                             _is_laminar_mask, _mask_of, _node, _rows,
                              _three_descendant_violation_mask, canonical_key,
                              children_histogram, format_interval,
                              hasse_children, hasse_edges, is_tree,
@@ -18,7 +18,8 @@ from polyposet.poset import (ElementNotInPoset, IntervalPoset,
                              validate_interval_family, write_poset_text)
 
 from oracles import _closure_violation, _is_laminar, \
-    _three_descendant_violation, oracle_children, oracle_is_tree, \
+    _three_descendant_violation, oracle_children, \
+    oracle_decomposition_children, oracle_is_tree, \
     oracle_three_descendant_violation, oracle_validate_interval_family
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
@@ -224,6 +225,24 @@ def test_tree_test_matches_parent_count_on_every_family():
                 == oracle_three_descendant_violation(fam), fam
         trees.append(sum(oracle_is_tree(fam, n) for fam in families))
     assert trees == [1, 1, 2, 6, 21, 78, 301, 1198]
+
+
+def test_decomposition_nodes_match_the_strong_member_oracle():
+    """On all 1,469 distinct interval posets of orders 1..7, every member's
+    node parts are the maximal members inside it that properly overlap no
+    other member, and the node is linear exactly when two adjacent parts
+    join into a member (arity 2 is always linear; prime needs 4)."""
+    for n in range(1, 8):
+        for mask in census._distinct_families(n, Family.ALL, None):
+            fam = frozenset(_family_of_mask(mask, n + 1))
+            rows = _rows(mask, n)
+            for lo, hi in fam:
+                if lo == hi:
+                    continue
+                linear, parts = _node(rows, lo, hi)
+                assert parts == oracle_decomposition_children(fam, (lo, hi))
+                assert linear == (len(parts) == 2
+                                  or (parts[0][0], parts[1][1]) in fam)
 
 
 @st.composite
