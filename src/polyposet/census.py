@@ -281,8 +281,8 @@ def distinct_posets(n: int, family: Family, *, cap: int | None = None) -> int:
 def count_dissections(m: int, clazz: DissectionClass,
                       cap: int | None = None) -> int:
     """Number of dissections of the m-gon in the class: the length of
-    ``enumerate_dissections``, with the same checks, but no ``Dissection``
-    built or sorted.
+    ``enumerate_dissections``, with the same checks, counted on the
+    members' masks, which only ``enumerate_dissections`` decodes.
 
     >>> count_dissections(4, DissectionClass.FRAMED_QUAD_FREE)
     3

@@ -23,14 +23,16 @@ per-call originals of the predicates are kept as the reference in
 ``tests/oracles.py``.
 
 Enumeration is exhaustive and deterministic, and every class is built face
-by face, without the table.  The face on the side (1, m) takes its other
-vertices from 2..m-1, and each gap between consecutive face vertices is
-the smaller polygon on that chord, built the same way.  A face is one of
-three kinds: a triangle (never in the tri-free class), an empty k-gon with
-k >= 5, or, in the framed class only, a complete k-gon with k >= 4, whose
-vertices are joined pairwise by chords.  A complete face's chords cross
-only inside it and frame each other, and the kinds mirror the linear and
-prime nodes of the substitution decomposition of the paired posets.
+by face, without the table, each member as its ``Dissection.mask``; only
+``enumerate_dissections`` decodes members into dissections.  The face on
+the side (1, m) takes its other vertices from 2..m-1, and each gap between
+consecutive face vertices is the smaller polygon on that chord, built the
+same way.  A face is one of three kinds: a triangle (never in the tri-free
+class), an empty k-gon with k >= 5, or, in the framed class only, a
+complete k-gon with k >= 4, whose vertices are joined pairwise by chords.
+A complete face's chords cross only inside it and frame each other, and
+the kinds mirror the linear and prime nodes of the substitution
+decomposition of the paired posets.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ import itertools
 from typing import Iterator
 
 from ._lines import read_pairs
-from .poset import (_bits, _children, _is_laminar_mask, _mask_of, _rows,
-                    _trivial_mask)
+from .poset import (_bits, _children, _family_of_mask, _is_laminar_mask,
+                    _mask_of, _rows, _trivial_mask)
 
 FRAMED_CAP = 9
 NONCROSSING_CAP = 11
@@ -277,36 +279,6 @@ def _in_class(mask: int, m: int, clazz: DissectionClass) -> bool:
             and not (tri_free and m > 3 and faces & table.triangles))
 
 
-def _enumerate(m: int, clazz: DissectionClass) -> list[frozenset[tuple[int, int]]]:
-    """The root-face construction (see the module docstring): ``inside[a,
-    b]`` is every class member's diagonals strictly inside the polygon a..b,
-    built for the smaller polygons first.  Only class members are built,
-    each once, and the table is a plain local dict, so it is freed when the
-    call returns."""
-    noncrossing, tri_free = _class_flags(clazz)
-    kinds = [(k, False) for k in range(5 if tri_free else 3, m + 1) if k != 4]
-    if not noncrossing:
-        kinds += [(k, True) for k in range(4, m + 1)]
-    # one tuple per chord, shared by every member that holds it
-    chord = [[(u, v) for v in range(m + 1)] for u in range(m + 1)]
-    inside: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
-    for b in range(3, m + 1):
-        for a in range(b - 2, 0, -1):  # every gap of a..b is built by now
-            out = inside[a, b] = []
-            for k, complete in kinds:
-                for inner in itertools.combinations(range(a + 1, b), k - 2):
-                    face = (a, *inner, b)
-                    own = ()
-                    if complete:  # every vertex pair that is not a face side
-                        own = tuple(chord[u][v] for i, u in enumerate(face)
-                                    for v in face[i + 2:] if (u, v) != (a, b))
-                    gaps = [[(chord[u][v], *rest) for rest in inside[u, v]]
-                            for u, v in zip(face, face[1:]) if v - u >= 2]
-                    out.extend(sum(pick, own)
-                               for pick in itertools.product(*gaps))
-    return [frozenset(chords) for chords in inside[1, m]]
-
-
 def check_dissection_cap(m: int, clazz: DissectionClass,
                          cap: int | None = None):
     """Raise ``CapExceeded`` if ``enumerate_dissections`` would refuse the
@@ -327,32 +299,58 @@ def check_dissection_cap(m: int, clazz: DissectionClass,
 def enumerate_dissections(m: int, clazz: DissectionClass,
                           cap: int | None = None) -> Iterator[Dissection]:
     """Every dissection of the m-gon in the class, each exactly once,
-    ordered by diagonal count and then lexicographically.
+    ordered by diagonal count and then lexicographically; the one decoder
+    of ``_members``.
 
     >>> [sorted(D.diagonals) for D in
     ...  enumerate_dissections(4, DissectionClass.FRAMED_QUAD_FREE)]
     [[(1, 3)], [(2, 4)], [(1, 3), (2, 4)]]
     """
-    for chosen in sorted(_members(m, clazz, cap),
-                         key=lambda s: (len(s), sorted(s))):
+    members = _members(m, clazz, cap)
+    chord = [(u, v + 1) for u, v in _family_of_mask((1 << m * m) - 1, m)]
+    for chosen in sorted(([chord[i] for i in _bits(mask)] for mask in members),
+                         key=lambda s: (len(s), s)):
         yield Dissection(m, chosen)
 
 
 def _members(m: int, clazz: DissectionClass,
-             cap: int | None = None) -> list[frozenset[tuple[int, int]]]:
-    """The class's diagonal sets on the m-gon, in construction order.  The
-    checks of ``enumerate_dissections`` and ``census.count_dissections``
-    are made here: an unknown class, m < 2 and m above the cap are
-    refused."""
-    _class_flags(clazz)  # an unknown class is refused before anything else
+             cap: int | None = None) -> list[int]:
+    """Each class member on the m-gon as its ``Dissection.mask``, in
+    construction order, after the checks of ``enumerate_dissections`` and
+    ``census.count_dissections``: an unknown class, m < 2 and m above the
+    cap are refused.  ``inside[a, b]`` holds every member of the polygon
+    a..b (see the module docstring), smaller polygons first: a face's own
+    chords plus, per gap, its chord and a member of the gap, disjoint bits
+    that sum to their union.  The local dict is freed on return."""
+    noncrossing, tri_free = _class_flags(clazz)  # refuses an unknown class
     if m < 2:
         raise ValueError("polygon needs m >= 2")
     check_dissection_cap(m, clazz, cap)
     if m <= 3:
         # no diagonals exist; the bare triangle is exempt from the tri-free
         # rule (the class is consulted from order 4 on)
-        return [frozenset()]
-    return _enumerate(m, clazz)
+        return [0]
+    kinds = [(k, False) for k in range(5 if tri_free else 3, m + 1) if k != 4]
+    if not noncrossing:
+        kinds += [(k, True) for k in range(4, m + 1)]
+    bit = {(u, v): _mask_of([(u, v - 1)], m - 1)
+           for u, v in all_diagonals(m)}
+    inside: dict[tuple[int, int], list[int]] = {}
+    for b in range(3, m + 1):
+        for a in range(b - 2, 0, -1):  # every gap of a..b is built by now
+            out = inside[a, b] = []
+            for k, complete in kinds:
+                for inner in itertools.combinations(range(a + 1, b), k - 2):
+                    face = (a, *inner, b)
+                    own = 0
+                    if complete:  # every vertex pair that is not a face side
+                        own = sum(bit[u, v] for i, u in enumerate(face)
+                                  for v in face[i + 2:] if (u, v) != (a, b))
+                    gaps = [[bit[u, v] + rest for rest in inside[u, v]]
+                            for u, v in zip(face, face[1:]) if v - u >= 2]
+                    out.extend(sum(pick, own)
+                               for pick in itertools.product(*gaps))
+    return inside[1, m]
 
 
 def write_dissection_text(D: Dissection) -> str:

@@ -11,7 +11,8 @@ diagonals instead of reading Hasse children, class enumeration by naive
 filtration of every diagonal subset through those per-call predicates,
 the framed search by its leaf-checking original, the non-crossing
 root-face construction by the backtracking search over every
-non-crossing dissection that it replaced, realization by scanning entire
+non-crossing dissection that it replaced, its members as masks by the
+same construction on chord tuples, realization by scanning entire
 symmetric groups and by the backtracking search with per-interval
 counters that the bitmask search replaced, tree posets by counting
 Hasse parents instead of testing laminarity, the three-descendants check
@@ -43,8 +44,8 @@ from polyposet.census import IDENTITY_CAP, Family, IdentityCheck
 from polyposet.perm import Permutation, _intervals_of_entries, \
     _tuple_has_sum_interval
 from polyposet.polygon import CapExceeded, Dissection, DissectionClass, \
-    all_diagonals, chords_cross, empty_faces, is_diagonally_framed, \
-    is_noncrossing, is_outer_edge
+    _class_flags, all_diagonals, chords_cross, empty_faces, \
+    is_diagonally_framed, is_noncrossing, is_outer_edge
 from polyposet.poset import FamilyVerdict, IntervalPoset, key_of_family
 
 EPS = 1e-9
@@ -828,6 +829,35 @@ def oracle_noncrossing_search(m: int, tri_free: bool) \
 
     dfs(0, 0, badness(whole))
     return found
+
+
+def oracle_root_face_tuples(m: int, clazz: DissectionClass) \
+        -> list[frozenset[tuple[int, int]]]:
+    """The root-face construction as it was before its members became
+    ``Dissection.mask`` ints: each member built as a tuple of shared chord
+    tuples, then frozen (m >= 4).  Results come in construction order."""
+    noncrossing, tri_free = _class_flags(clazz)
+    kinds = [(k, False) for k in range(5 if tri_free else 3, m + 1) if k != 4]
+    if not noncrossing:
+        kinds += [(k, True) for k in range(4, m + 1)]
+    # one tuple per chord, shared by every member that holds it
+    chord = [[(u, v) for v in range(m + 1)] for u in range(m + 1)]
+    inside: dict[tuple[int, int], list[tuple[tuple[int, int], ...]]] = {}
+    for b in range(3, m + 1):
+        for a in range(b - 2, 0, -1):  # every gap of a..b is built by now
+            out = inside[a, b] = []
+            for k, complete in kinds:
+                for inner in itertools.combinations(range(a + 1, b), k - 2):
+                    face = (a, *inner, b)
+                    own = ()
+                    if complete:  # every vertex pair that is not a face side
+                        own = tuple(chord[u][v] for i, u in enumerate(face)
+                                    for v in face[i + 2:] if (u, v) != (a, b))
+                    gaps = [[(chord[u][v], *rest) for rest in inside[u, v]]
+                            for u, v in zip(face, face[1:]) if v - u >= 2]
+                    out.extend(sum(pick, own)
+                               for pick in itertools.product(*gaps))
+    return [frozenset(chords) for chords in inside[1, m]]
 
 
 def framed_quadfree_count_vectorized(m: int) -> int:

@@ -37,7 +37,7 @@ from polyposet import (
 import polyposet.census as census
 from polyposet import bijection, polygon
 from polyposet.perm import is_simple
-from polyposet.poset import _family_of_mask
+from polyposet.poset import _family_of_mask, _trivial_mask
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
     oracle_has_sum_interval, oracle_poset_census, oracle_realize_backtrack, \
@@ -91,6 +91,17 @@ def test_count_dissections_is_the_length_of_the_enumeration():
             assert str(counted.value) == str(enumerated.value), (clazz, m)
     with pytest.raises(ValueError, match="unknown class"):
         count_dissections(5, "framed")
+
+
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for n in range(1, 9) for family in (Family.ALL, Family.TREE)),
+    *((Family.BLOCKWISE_SIMPLE, n) for n in range(4, 11))])
+def test_image_masks_are_the_class_members(family, n):
+    # both sides as sets, not only as counts: a family mask less its
+    # trivial bits is its image's Dissection.mask
+    images = {mask & ~_trivial_mask(n)
+              for mask in census._distinct_families(n, family, None)}
+    assert images == set(polygon._members(n + 1, census.PAIRED_CLASS[family]))
 
 
 def test_compare_counts_row():

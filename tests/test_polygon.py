@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,15 @@ from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                is_noncrossing, parse_dissection_text,
                                satisfies_class, write_dissection_text)
 from polyposet import polygon
-from polyposet.polygon import _enumerate
+from polyposet.polygon import _members
 
 from oracles import (geometric_empty_faces, naive_class_dissections,
                      oracle_arc_empty_faces, oracle_crossing_pairs,
                      oracle_faces_of_noncrossing,
                      oracle_framed_quadfree_search,
                      oracle_is_diagonally_framed, oracle_is_noncrossing,
-                     oracle_noncrossing_search, oracle_satisfies_class)
+                     oracle_noncrossing_search, oracle_root_face_tuples,
+                     oracle_satisfies_class)
 
 
 def dis(m, *chords):
@@ -221,11 +223,11 @@ def test_diagonals_of_any_collection_are_stored_as_a_frozenset():
 def test_framed_search_matches_leaf_checking_original(m):
     # the root-face construction builds exactly the dissections the
     # decided/undecided search with leaf re-validation found, each once
-    built = _enumerate(m, DissectionClass.FRAMED_QUAD_FREE)
+    built = _members(m, DissectionClass.FRAMED_QUAD_FREE, cap=m)
     searched = oracle_framed_quadfree_search(m)
     assert len(set(built)) == len(built)
     assert len(set(searched)) == len(searched)
-    assert set(built) == set(searched)
+    assert set(built) == {Dissection(m, s).mask for s in searched}
     assert [D.diagonals for D in enumerate_dissections(
         m, DissectionClass.FRAMED_QUAD_FREE)] \
         == sorted(searched, key=lambda s: (len(s), sorted(s)))
@@ -236,7 +238,7 @@ def test_enumerate_frees_its_cache_without_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        _enumerate(9, DissectionClass.FRAMED_QUAD_FREE)
+        _members(9, DissectionClass.FRAMED_QUAD_FREE, cap=9)
         assert gc.collect() < 100
     finally:
         gc.enable()
@@ -245,7 +247,7 @@ def test_enumerate_frees_its_cache_without_the_cyclic_collector():
 def test_framed_count_past_the_cap_matches_all_posets():
     # the first all-family pairing past FRAMED_CAP: the 10-gon's framed
     # quad-free dissections against the all-poset scan at order 9
-    assert len(_enumerate(10, DissectionClass.FRAMED_QUAD_FREE)) \
+    assert len(_members(10, DissectionClass.FRAMED_QUAD_FREE, cap=10)) \
         == distinct_posets(9, Family.ALL, cap=9)
 
 
@@ -256,13 +258,36 @@ def test_noncrossing_construction_matches_old_search(clazz, m):
     # the root-face construction builds exactly the dissections the
     # backtracking search over all non-crossing dissections kept, each once
     tri_free = clazz is DissectionClass.NONCROSSING_TRI_QUAD_FREE
-    built = _enumerate(m, clazz)
+    built = _members(m, clazz, cap=m)
     searched = oracle_noncrossing_search(m, tri_free)
     assert len(set(built)) == len(built)
     assert len(set(searched)) == len(searched)
-    assert set(built) == set(searched)
+    assert set(built) == {Dissection(m, s).mask for s in searched}
     assert [D.diagonals for D in enumerate_dissections(m, clazz)] \
         == sorted(searched, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("clazz", DissectionClass)
+def test_member_masks_match_the_tuple_construction(clazz):
+    # every member is built as its Dissection.mask: the same dissections
+    # as the construction on chord tuples, from m = 4 to the class's cap
+    # and, for the framed class, one past it
+    top = 10 if clazz is DissectionClass.FRAMED_QUAD_FREE else 11
+    for m in range(4, top + 1):
+        assert sorted(Dissection(m, s).mask
+                      for s in oracle_root_face_tuples(m, clazz)) \
+            == sorted(_members(m, clazz, cap=m)), (clazz, m)
+
+
+def test_framed_construction_at_m10_peaks_below_8_mib():
+    # one int per member: the tuple-then-frozenset build peaked at 24 MiB
+    tracemalloc.start()
+    try:
+        _members(10, DissectionClass.FRAMED_QUAD_FREE, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_tri_quad_free_counts_past_the_cap_match_reference(fixtures_dir):
@@ -272,7 +297,8 @@ def test_tri_quad_free_counts_past_the_cap_match_reference(fixtures_dir):
     with open(fixtures_dir / "b054514.txt", encoding="utf-8") as handle:
         reference = dict(load_bfile(handle))
     for n in (11, 12, 13):
-        built = _enumerate(n + 1, DissectionClass.NONCROSSING_TRI_QUAD_FREE)
+        built = _members(n + 1, DissectionClass.NONCROSSING_TRI_QUAD_FREE,
+                         cap=n + 1)
         assert len(built) == reference[n - 3]
 
 
