@@ -304,12 +304,8 @@ class CensusRow:
     dissection_ms: float
 
     def as_dict(self) -> dict:
-        return {"n": self.n, "class": self.clazz,
-                "poset_count": self.poset_count,
-                "dissection_count": self.dissection_count,
-                "match": self.match, "elapsed_ms": self.elapsed_ms,
-                "poset_ms": self.poset_ms,
-                "dissection_ms": self.dissection_ms}
+        fields = dataclasses.asdict(self)
+        return {"n": fields.pop("n"), "class": fields.pop("clazz"), **fields}
 
 
 @dataclasses.dataclass
@@ -403,10 +399,11 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     chosen independently, except that a linear part's orientation is
     forced by its parent; increasing puts the lowest part first.
 
-    The composed permutation is returned only when its own intervals are
-    exactly the family; otherwise (the tree reading assumes a realizable
-    family) the answer is ``_search``'s, so a None never rests on the
-    decomposition theorem.
+    A family lacking a singleton or (1, n) is None before either route
+    runs.  The composed permutation is returned only when its own
+    intervals are exactly the family; otherwise (the tree reading assumes
+    a realizable family) the answer is ``_search``'s, so a None never
+    rests on the decomposition theorem.
 
     >>> singles = {(i, i) for i in range(1, 5)}
     >>> str(realize(singles | {(1, 4)}, 4))
@@ -416,6 +413,8 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     """
     _check_order(n, cap, "realization")
     allowed = _mask_of(intervals, n)
+    if _trivial_mask(n) & ~allowed:
+        return None
     entries = _compose(allowed, n)
     if entries is None or _mask_of(_intervals_of_entries(entries), n) != allowed:
         entries = _search(allowed, n)
@@ -424,30 +423,30 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
 
 def _compose(allowed: int, n: int) -> tuple[int, ...] | None:
     """The permutation the decomposition tree of the family mask spells
-    (see ``realize``), or None where the tree cannot be read: a trivial
-    interval missing, a prime node whose parts overlap, or a prime arity
-    with no simple permutation."""
-    if _trivial_mask(n) & ~allowed:
-        return None
+    (see ``realize``), or None where the tree cannot be read: a prime node
+    whose parts overlap, or a prime arity with no simple permutation.  The
+    mask holds the trivial intervals.  An explicit stack walks the tree,
+    each node's parts pushed in reverse of their placing order."""
     rows = _rows(allowed, n)
     out: list[int] = []
-
-    def place(lo: int, hi: int, under_increasing: bool) -> bool:
+    stack = [(1, n, False)]
+    while stack:
+        lo, hi, under_increasing = stack.pop()
         if lo == hi:
             out.append(lo)
-            return True
+            continue
         linear, parts = _node(rows, lo, hi)
         if linear:
-            if under_increasing:
-                parts.reverse()
-            return all(place(a, b, not under_increasing) for a, b in parts)
+            stack += [(a, b, not under_increasing)
+                      for a, b in (parts if under_increasing else parts[::-1])]
+            continue
         if any(right[0] != left[1] + 1 for left, right in zip(parts, parts[1:])):
-            return False
+            return None
         pattern = _simple_pattern(len(parts))
-        return pattern is not None and all(place(*parts[rank - 1], False)
-                                           for rank in pattern)
-
-    return tuple(out) if place(1, n, False) else None
+        if pattern is None:
+            return None
+        stack += [(*parts[rank - 1], False) for rank in reversed(pattern)]
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,10 +465,8 @@ def _search(allowed: int, n: int) -> tuple[int, ...] | None:
     unused values inside every span that is partly used (the values of an
     interval occupy consecutive positions), and a candidate is rejected when
     a window ending at it forms a block whose bit is not in ``allowed``.
+    The mask holds the singletons and (1, n), as ``realize`` checks.
     """
-    # the singletons and (1, n), which every permutation has
-    if _trivial_mask(n) & ~allowed:
-        return None
     width = n + 1
     spans = [(1 << hi + 1) - (1 << lo)
              for lo, hi in _family_of_mask(allowed, width) if lo < hi]

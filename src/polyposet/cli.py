@@ -26,17 +26,6 @@ from .poset import format_interval, hasse_edges, is_tree, poset_of, \
 from .render import dissection_to_svg, poset_to_dot
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
 def _sorted_by_size(intervals) -> list[tuple[int, int]]:
     return sorted(intervals, key=lambda v: (v[1] - v[0], v[0]))
 
@@ -169,10 +158,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="polyposet",
-                     description="Interval posets of permutations, polygon "
-                                 "dissections, and the chord correspondence")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polyposet", description="Interval posets of permutations, "
+        "polygon dissections, and the chord correspondence")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("intervals", help="print all intervals of a permutation")
@@ -241,10 +230,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -475,6 +475,33 @@ def test_realize_composes_every_scan_family_without_searching(monkeypatch):
     assert census._simple_pattern.cache_info().misses == len(calls)
 
 
+def test_realize_tests_trivial_intervals_before_either_route(monkeypatch):
+    calls = []
+    for name in ("_compose", "_search"):
+        monkeypatch.setattr(census, name,
+                            lambda *args, name=name: calls.append(name))
+    for n in range(1, 5):
+        every = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+        trivial = {(i, i) for i in range(1, n + 1)} | {(1, n)}
+        for size in range(len(every) + 1):
+            for fam in itertools.combinations(every, size):
+                if not trivial <= set(fam):
+                    assert realize(fam, n) is None, (n, fam)
+    assert calls == []
+
+
+def test_realize_deep_decomposition_tree():
+    # 1 + (1 - (1 + ...)), one linear node per level: a walk that recursed
+    # once per level would overflow the stack
+    n = 1000
+    entries = tuple(itertools.chain.from_iterable(
+        zip(range(1, n // 2 + 1), range(n, n // 2, -1))))
+    fam = census._intervals_of_entries(entries)
+    wit = realize(fam, n, cap=n)
+    assert census._intervals_of_entries(wit.entries) == fam
+    assert wit.entries <= entries
+
+
 def test_simple_pattern_is_the_least_simple_permutation():
     for k in range(1, 8):
         assert census._simple_pattern(k) == oracles.oracle_least_simple(k), k

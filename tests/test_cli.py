@@ -163,6 +163,17 @@ def test_realize_cap_exit_code(tmp_path):
                 "--intervals", str(path)]) == 0
 
 
+def test_realize_deep_family(monkeypatch, capsys):
+    # the intervals of 1 400 2 399 ... 200 201: singletons and suffixes
+    lines = [f"{i} {i}" for i in range(1, 401)]
+    lines += [f"{k + 1} {400 - k}" for k in range(200)]
+    lines += [f"{k + 2} {400 - k}" for k in range(199)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert run(["realize", "--n", "400", "--cap", "400",
+                "--intervals", "-"]) == 0
+    assert out_of(capsys).startswith("1 400 2 399 ")
+
+
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------
@@ -285,6 +296,24 @@ def test_threads_option_is_gone(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --threads 2" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["census"], "polyposet census: error: the following arguments are "
+                 "required: --max-n"),
+    (["census", "--max-n", "4", "--class", "nope"], "invalid choice"),
+], ids=["missing-option", "invalid-choice"])
+def test_argparse_error_is_usage_error(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polyposet census")
+    assert message in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["census", "--help"]) == 0
+    assert out_of(capsys).startswith("usage: polyposet census")
 
 
 def test_census_with_no_aligned_reference_term_is_usage_error(
