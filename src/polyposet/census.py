@@ -40,9 +40,9 @@ from .perm import Permutation, _intervals_of_entries
 # census.enumerate_dissections hook
 from .polygon import (DissectionClass, CapExceeded, _in_class, _members,
                       check_dissection_cap, enumerate_dissections)  # noqa: F401
-from .poset import (_closure_violation_mask, _family_of_mask,
-                    _is_laminar_mask, _mask_of, _node, _rows,
-                    _three_descendant_violation_mask, _trivial_mask,
+from .poset import (_closure_violation_rows, _family_of_mask,
+                    _is_laminar_rows, _mask_of, _node, _rows,
+                    _three_descendant_violation_rows, _trivial_mask,
                     key_of_family)
 
 
@@ -248,7 +248,7 @@ def _distinct_families(n: int, family: Family,
         reps.setdefault(key >> 1, entries)
     if family is Family.TREE:
         return {mask: entries for mask, entries in reps.items()
-                if _is_laminar_mask(mask, n)}
+                if _is_laminar_rows(_rows(mask, n))}
     return reps
 
 
@@ -523,7 +523,7 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
       permutation has no three-block sum interval.
 
     They read the census scan of all permutations: the least permutation
-    of each (family mask, triple flag) pair, which ``poset``'s mask-level
+    of each (family mask, triple flag) pair, which ``poset``'s row-level
     checks read with no tuple or poset built.  The triple flag is found per
     permutation by stacking blocks, so the last check sets two routes
     against each other.  The order and cap are checked before the scan.
@@ -539,14 +539,14 @@ def check_identities(n: int, cap: int = IDENTITY_CAP) -> list[IdentityCheck]:
             fails[check] = str(Permutation(entries))
 
     for key, entries in _scan(n, False).items():
-        mask = key >> 1
-        if _closure_violation_mask(mask, n) is not None:
+        rows = _rows(key >> 1, n)
+        if _closure_violation_rows(rows) is not None:
             note("overlap-closure", entries)
-        if _three_descendant_violation_mask(mask, n) is not None:
+        if _three_descendant_violation_rows(rows) is not None:
             note("no-three-descendants", entries)
-        if trivial & ~mask:
+        if trivial & ~(key >> 1):
             note("simple-share-poset", entries)
-        if _is_laminar_mask(mask, n) == bool(key & 1):
+        if _is_laminar_rows(rows) == bool(key & 1):
             note("tree-iff-no-triple-sum", entries)
 
     return [IdentityCheck(name, fail is None, fail)

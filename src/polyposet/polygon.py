@@ -43,7 +43,7 @@ import itertools
 from typing import Iterator
 
 from ._lines import read_pairs
-from .poset import (_bits, _children, _family_of_mask, _is_laminar_mask,
+from .poset import (_bits, _family_of_mask, _inner_members, _is_laminar_rows,
                     _mask_of, _rows, _trivial_mask)
 
 FRAMED_CAP = 9
@@ -233,15 +233,13 @@ def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
     [(1, 2, 3), (1, 3, 4, 5)]
     """
     n = D.m - 1
-    family = D.mask | _trivial_mask(n)
-    if not _is_laminar_mask(family, n):
+    rows = _rows(D.mask | _trivial_mask(n), n)
+    if not _is_laminar_rows(rows):
         raise ValueError("dissection has crossing diagonals")
     if n == 1:
         return [(1, 2)]
-    rows = _rows(family, n)
-    return sorted((*(p for p, _ in _children(rows, lo, hi)), hi + 1)
-                  for lo in range(1, n)
-                  for hi in _bits(rows[lo] >> lo + 1 << lo + 1))
+    return sorted((*(p for p, _ in kids), hi + 1)
+                  for (_, hi), kids in _inner_members(rows))
 
 
 def _class_flags(clazz: DissectionClass) -> tuple[bool, bool]:

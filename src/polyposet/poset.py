@@ -6,10 +6,10 @@ Minimal elements are the singletons, the maximum is (1, n), and the cover
 relation is inclusion-maximality.  Children of a node are ordered by their
 minimum, which fixes the plane embedding used by the renderer.
 
-This module alone defines a family's bitmask layout (``_mask_of``) and
-reads its Hasse children from it (``_children``); ``polygon`` imports both.
-``census`` reads the family's substitution-decomposition tree from it
-(``_node``).
+This module alone defines a family's bitmask layout (``_mask_of``), its
+rows (``_rows``), which a caller builds once and passes to each check, and
+its Hasse children, of one member (``_children``) or of every member
+(``_inner_members``); ``polygon`` and ``census`` (``_node``) read them.
 """
 from __future__ import annotations
 
@@ -73,8 +73,8 @@ def _mask_of(intervals, n: int) -> int:
     least such interval."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    # one row of maxima per minimum, joined once, so a large family costs
-    # no quadratic big-int work
+    # one row of maxima per minimum, then joined; each shift copies the
+    # whole mask, so the join still takes cubic bit operations in n
     rows, bad = [0] * (n + 1), []
     for lo, hi in intervals:
         if 1 <= lo <= hi <= n:
@@ -132,6 +132,13 @@ def _children(rows: list[int], lo: int, hi: int) -> list[tuple[int, int]]:
     return children
 
 
+def _inner_members(rows: list[int]) -> Iterator[tuple[tuple[int, int], list]]:
+    """Members of two or more values, by (lo, hi), with their children."""
+    for lo in range(1, len(rows) - 1):
+        for hi in _bits(rows[lo] >> lo + 1 << lo + 1):
+            yield (lo, hi), _children(rows, lo, hi)
+
+
 def _node(rows: list[int], lo: int, hi: int) -> tuple[bool, list[tuple[int, int]]]:
     """The substitution-decomposition node at (lo, hi), as ``(linear,
     parts)`` with parts by ascending value.  A split point is an e with
@@ -155,14 +162,14 @@ def _node(rows: list[int], lo: int, hi: int) -> tuple[bool, list[tuple[int, int]
     return True, [(a + 1, b) for a, b in zip([lo - 1] + splits, splits + [hi])]
 
 
-def _is_laminar_mask(mask: int, n: int) -> bool:
+def _is_laminar_rows(rows: list[int]) -> bool:
     """True iff no two members properly overlap (a < c <= b < d).  For a
     family holding the trivial intervals this is "the Hasse diagram is a
     tree": the supersets of an element form a chain exactly when none of
     them overlap.  Members (a, b) and (c, d) with a < c overlap exactly
     when some b of a smaller minimum lies in c..d-1 for the longest d."""
-    rows, maxima = _rows(mask, n), 0  # maxima of the smaller minima
-    for c in range(2, n + 1):
+    maxima = 0  # maxima of the smaller minima
+    for c in range(2, len(rows)):
         maxima |= rows[c - 1]
         top = rows[c].bit_length() - 1
         if top > c and maxima & (1 << top) - (1 << c):
@@ -184,8 +191,8 @@ def hasse_children(P: IntervalPoset, v: tuple[int, int]) -> list[tuple[int, int]
 def hasse_edges(P: IntervalPoset) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All cover pairs (parent, child), parents in (lo, hi) order and
     children in ascending-minimum order under each parent."""
-    rows = _rows(P.mask, P.n)
-    return [(v, c) for v in P.sorted_elements() for c in _children(rows, *v)]
+    return [(v, c) for v, kids in _inner_members(_rows(P.mask, P.n))
+            for c in kids]
 
 
 def is_tree(P: IntervalPoset) -> bool:
@@ -198,7 +205,7 @@ def is_tree(P: IntervalPoset) -> bool:
     >>> is_tree(poset_of(parse_permutation("5123647")))
     False
     """
-    return _is_laminar_mask(P.mask, P.n)
+    return _is_laminar_rows(_rows(P.mask, P.n))
 
 
 def children_histogram(P: IntervalPoset) -> dict[int, int]:
@@ -209,7 +216,7 @@ def children_histogram(P: IntervalPoset) -> dict[int, int]:
     {0: 4, 4: 1}
     """
     rows = _rows(P.mask, P.n)
-    sizes = [len(_children(rows, *v)) for v in P.intervals]
+    sizes = [0] * P.n + [len(kids) for _, kids in _inner_members(rows)]
     return {k: sizes.count(k) for k in sorted(set(sizes))}
 
 
@@ -243,14 +250,13 @@ class FamilyVerdict:
     witnesses: tuple = ()
 
 
-def _closure_violation_mask(mask: int, n: int):
+def _closure_violation_rows(rows: list[int]):
     """First closure failure among properly overlapping pairs (I, J), I
     before J in (lo, hi) order, which is bit order, as ``(I, J, missing,
     tag)``; None when there is none.  For I = (a, b) and a minimum c of J,
     the maxima d > b all fail from the least on when (c, b) or (a, c - 1)
     is missing, and otherwise fail where (a, d) or (b + 1, d) is."""
-    rows, width = _rows(mask, n), n + 1
-    for a in range(1, n):
+    for a in range(1, len(rows) - 1):
         for b in _bits(rows[a] >> a + 1 << a + 1):
             for c in range(a + 1, b + 1):
                 ds = rows[c] >> b + 1 << b + 1
@@ -261,21 +267,16 @@ def _closure_violation_mask(mask: int, n: int):
                     for (lo, hi), tag in (
                             ((c, b), "intersection"), ((a, d), "union"),
                             ((a, c - 1), "difference"), ((b + 1, d), "difference")):
-                        if not mask >> lo * width + hi & 1:
+                        if not rows[lo] >> hi & 1:
                             return ((a, b), (c, d), (lo, hi), tag)
     return None
 
 
-def _three_descendant_violation_mask(mask: int, n: int):
+def _three_descendant_violation_rows(rows: list[int]):
     """First member, in (lo, hi) order, with exactly 3 direct descendants,
     as ``(member, children)``; None when there is none."""
-    rows = _rows(mask, n)
-    for lo in range(1, n - 1):
-        # a member of fewer than three values has fewer than three children
-        for hi in _bits(rows[lo] >> lo + 2 << lo + 2):
-            if len(kids := _children(rows, lo, hi)) == 3:
-                return ((lo, hi), tuple(kids))
-    return None
+    return next(((v, tuple(kids)) for v, kids in _inner_members(rows)
+                 if len(kids) == 3), None)
 
 
 def validate_interval_family(intervals: Iterable[tuple[int, int]],
@@ -294,10 +295,11 @@ def validate_interval_family(intervals: Iterable[tuple[int, int]],
     if missing:
         return FamilyVerdict(False, "trivial-intervals",
                              tuple(_family_of_mask(missing, n + 1)))
-    bad = _closure_violation_mask(mask, n)
+    rows = _rows(mask, n)
+    bad = _closure_violation_rows(rows)
     if bad is not None:
         return FamilyVerdict(False, "closure", bad)
-    bad = _three_descendant_violation_mask(mask, n)
+    bad = _three_descendant_violation_rows(rows)
     if bad is not None:
         return FamilyVerdict(False, "three-descendants", bad)
     return FamilyVerdict(True)

@@ -537,31 +537,37 @@ def _bit(lo, hi, n):
     return 1 << lo * (n + 1) + hi
 
 
-# census name -> (oracle name, wrong predicate on a family bitmask, the
+def _size(rows):
+    return sum(row.bit_count() for row in rows)
+
+
+# census name -> (oracle name, wrong predicate on a family's rows, the
 # check it fails); the oracle's tuple routine is replaced by the same
-# predicate on the tuple family's bitmask
+# predicate on the tuple family's rows
 WRONG_PREDICATES = {
-    "_is_laminar_mask": ("_is_laminar",
-                         lambda mask, n: mask.bit_count() % 2 == 0,
+    "_is_laminar_rows": ("_is_laminar",
+                         lambda rows: _size(rows) % 2 == 0,
                          "tree-iff-no-triple-sum"),
-    "_closure_violation_mask": (
+    "_closure_violation_rows": (
         "_closure_violation",
-        lambda mask, n: (2, 4) if mask & _bit(2, 4, n)
-        and not mask & _bit(1, 2, n) else None,
+        lambda rows: (2, 4) if rows[2] >> 4 & 1
+        and not rows[1] >> 2 & 1 else None,
         "overlap-closure"),
-    "_three_descendant_violation_mask": (
+    "_three_descendant_violation_rows": (
         "_three_descendant_violation",
-        lambda mask, n: (1, 1) if mask.bit_count() % 3 == 1 else None,
+        lambda rows: (1, 1) if _size(rows) % 3 == 1 else None,
         "no-three-descendants"),
 }
 
 
 def _on_tuples(wrong):
-    """The mask-level predicate on a tuple family, whose order is its
+    """The row-level predicate on a tuple family, whose order is its
     largest maximum."""
     def on_family(family, *_):
-        n = max(hi for _, hi in family)
-        return wrong(sum(_bit(lo, hi, n) for lo, hi in family), n)
+        rows = [0] * (max(hi for _, hi in family) + 1)
+        for lo, hi in family:
+            rows[lo] |= 1 << hi
+        return wrong(rows)
     return on_family
 
 
@@ -574,6 +580,14 @@ def test_check_identities_reports_least_counterexample(predicate, monkeypatch):
         checks = check_identities(n)
         assert checks == oracle_check_identities(n), n
         assert not {c.name: c.passed for c in checks}[failing], (n, checks)
+
+
+def test_check_identities_splits_each_scan_key_once(monkeypatch):
+    calls, real_rows = [], census._rows
+    monkeypatch.setattr(
+        census, "_rows", lambda mask, n: calls.append(mask) or real_rows(mask, n))
+    check_identities(6)
+    assert sorted(calls) == sorted(key >> 1 for key in census._scan(6, False))
 
 
 def test_simple_share_poset_fails_on_a_scan_dropping_a_trivial_bit(

@@ -1,17 +1,18 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyposet import census
+from polyposet import census, poset
 from polyposet.census import Family, poset_census
 from polyposet.perm import Permutation, all_intervals, is_simple, \
     parse_permutation
 from polyposet.poset import (ElementNotInPoset, IntervalPoset,
-                             _closure_violation_mask, _family_of_mask,
-                             _is_laminar_mask, _mask_of, _node, _rows,
-                             _three_descendant_violation_mask, canonical_key,
+                             _closure_violation_rows, _family_of_mask,
+                             _is_laminar_rows, _mask_of, _node, _rows,
+                             _three_descendant_violation_rows, canonical_key,
                              children_histogram, format_interval,
                              hasse_children, hasse_edges, is_tree,
                              key_of_family, parse_poset_text, poset_of,
@@ -221,7 +222,7 @@ def test_tree_test_matches_parent_count_on_every_family():
                     for entries in poset_census(n, Family.ALL).values()]
         for fam in families:
             assert is_tree(IntervalPoset(n, fam)) == oracle_is_tree(fam, n), fam
-            assert _three_descendant_violation_mask(_mask_of(fam, n), n) \
+            assert _three_descendant_violation_rows(_rows(_mask_of(fam, n), n)) \
                 == oracle_three_descendant_violation(fam), fam
         trees.append(sum(oracle_is_tree(fam, n) for fam in families))
     assert trees == [1, 1, 2, 6, 21, 78, 301, 1198]
@@ -262,18 +263,31 @@ def test_tree_test_and_children_match_oracles_off_posets(P):
     assert is_tree(P) == oracle_is_tree(P.intervals, P.n)
     for v in P.intervals:
         assert hasse_children(P, v) == oracle_children(P.intervals, v)
-    assert _three_descendant_violation_mask(_mask_of(P.intervals, P.n), P.n) \
+    assert _three_descendant_violation_rows(_rows(P.mask, P.n)) \
         == oracle_three_descendant_violation(P.intervals)
+    kids = {v: oracle_children(P.intervals, v) for v in sorted(P.intervals)}
+    assert hasse_edges(P) == [(v, c) for v, cs in kids.items() for c in cs]
+    sizes = Counter(len(cs) for cs in kids.values())
+    assert children_histogram(P) == dict(sorted(sizes.items()))
 
 
 def _assert_mask_checks_match_tuple_oracles(family, n):
-    mask = _mask_of(family, n)
-    assert _is_laminar_mask(mask, n) == _is_laminar(family)
-    assert _closure_violation_mask(mask, n) == _closure_violation(family, n)
-    assert _three_descendant_violation_mask(mask, n) \
+    rows = _rows(_mask_of(family, n), n)
+    assert _is_laminar_rows(rows) == _is_laminar(family)
+    assert _closure_violation_rows(rows) == _closure_violation(family, n)
+    assert _three_descendant_violation_rows(rows) \
         == _three_descendant_violation(family)
     assert validate_interval_family(family, n) \
         == oracle_validate_interval_family(family, n)
+
+
+def test_validate_interval_family_splits_the_mask_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "_rows",
+                        lambda mask, n: calls.append(n) or _rows(mask, n))
+    family = all_intervals(parse_permutation("5123647"))
+    assert validate_interval_family(family, 7).ok
+    assert calls == [7]
 
 
 def test_mask_checks_match_tuple_oracles_on_every_family():
