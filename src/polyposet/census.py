@@ -102,20 +102,20 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     itself a second part stacked the same way, the three form a sum of
     three, and ``triple`` records that the permutation has one.
 
-    Only permutations with p_1 < p_n are completed (n >= 2): ``above``
-    counts the values above the first entry still unplaced, and a prefix
-    that has placed them all before position n returns, so a first entry
-    of n yields nothing.  This loses no key and no least representative.
-    ``reverse(p)`` has the same intervals as ``p``; a sum of three read
-    backwards is a skew sum of three, and ``triple`` records both kinds;
-    the block-wise family rejects sums of two stacked either way.  So
-    ``p`` and ``reverse(p)`` share a key, and when p_1 > p_n the reverse
-    is the lexicographically smaller of the two.
+    Only permutations with p_1 < p_n are completed (n >= 2): ``used`` is
+    the value bitmask of the placed entries, and a prefix that has placed
+    every value above the first entry before position n returns, so a
+    first entry of n yields nothing.  This loses no key and no least
+    representative.  ``reverse(p)`` has the same intervals as ``p``; a sum
+    of three read backwards is a skew sum of three, and ``triple`` records
+    both kinds; the block-wise family rejects sums of two stacked either
+    way.  So ``p`` and ``reverse(p)`` share a key, and when p_1 > p_n the
+    reverse is the lexicographically smaller of the two.
     """
     n, first, blockwise = args
     width = n + 1
+    values = (1 << width) - 2
     entries = [0] * n
-    used = [False] * (n + 1)
     # value bitmasks of the his and los of the blocks ending at each
     # position, and of the his (ups) and los (downs) of those among them
     # that are the second part of an ascending or a descending sum of two
@@ -125,37 +125,38 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     downs = [0] * n
     found: dict[int, tuple[int, ...]] = {}
 
-    def extend(k: int, mask: int, triple: int, above: int):
+    def extend(k: int, mask: int, triple: int, used: int):
         if k == n:
             key = mask << 1 | triple
             if key not in found:
                 found[key] = tuple(entries)
             return
-        if not above:  # p_n < p_1: the reverse is scanned instead
+        free = values & ~used
+        if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
             return
         # values whose singleton continues a block ending at k - 1 upward
-        # or downward (the adjacent +-1 pair is the smallest case); tested
-        # before the window loop, so a block-wise prefix rejects them
-        # without scanning any window
+        # or downward (the adjacent +-1 pair is the smallest case); a
+        # block-wise prefix drops them before any window is scanned
         after_his = his[k - 1] << 1
         stacked = after_his | los[k - 1] >> 1
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
+        if blockwise:
+            free &= ~stacked
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
             up_bits = down_bits = 0
             has_triple = triple
-            if stacked >> v & 1:
-                if blockwise:
-                    continue
-                if after_his >> v & 1:
-                    up_bits = 1 << v
+            if stacked & bit:
+                if after_his & bit:
+                    up_bits = bit
                     has_triple |= ups[k - 1] >> (v - 1) & 1
                 else:
-                    down_bits = 1 << v
+                    down_bits = bit
                     has_triple |= downs[k - 1] >> (v + 1) & 1
             lo = hi = v
             grown = mask | 1 << (v * width + v)
-            hi_bits = lo_bits = 1 << v
+            hi_bits = lo_bits = bit
             for i in range(k - 1, -1, -1):
                 e = entries[i]
                 if e < lo:
@@ -182,14 +183,11 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
                 los[k] = lo_bits
                 ups[k] = up_bits
                 downs[k] = down_bits
-                used[v] = True
-                extend(k + 1, grown, has_triple, above - (v > first))
-                used[v] = False
+                extend(k + 1, grown, has_triple, used | bit)
 
     entries[0] = first
     his[0] = los[0] = 1 << first
-    used[first] = True
-    extend(1, 1 << (first * width + first), 0, n - first)
+    extend(1, 1 << (first * width + first), 0, 1 << first)
     return found
 
 

@@ -268,8 +268,6 @@ def _in_class(mask: int, m: int, clazz: DissectionClass) -> bool:
     ``mask`` that are ``_table(m)``'s row bits; other bits are ignored, so
     an interval family's mask asks for its chord image at m = n + 1."""
     noncrossing, tri_free = _class_flags(clazz)
-    if m == 2:
-        return True
     faces, crossing, unframed = _read(mask, m)
     table = _table(m)
     return (not (crossing if noncrossing else unframed)

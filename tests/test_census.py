@@ -32,6 +32,7 @@ from polyposet import (
     poset_of,
     realize,
     run_census,
+    validate_interval_family,
 )
 
 import polyposet.census as census
@@ -448,6 +449,9 @@ def test_realize_matches_backtracking_on_every_small_family():
                 fam = trivial | set(extra)
                 want = oracle_realize_backtrack(fam, n)
                 assert realize(fam, n) == want, (n, extra)
+                # validation alone decides realizability at these orders
+                assert validate_interval_family(fam, n).ok == \
+                    (want is not None), (n, extra)
                 seen += 1
                 unrealizable += want is None
     # the realizable ones are the 1 + 1 + 3 + 12 + 52 distinct posets
