@@ -8,18 +8,23 @@ keeps each distinct family as a bitmask, bit ``lo * (n + 1) + hi`` per
 interval, up to the verdict: the tree filter and the checks of ``poset``
 and ``polygon`` read the mask, and only canonical keys decode it.  The
 block-wise family prunes a prefix as soon as it holds a sum of two blocks,
-so no rejected permutation is ever completed; the others record whether
-the permutation holds a sum of three.  Both complete only the permutations
-with p_1 < p_n: reversal keeps a permutation's intervals, turns a sum into
-a skew sum and keeps the block-wise family, so the other half of S_n holds
-no new key and no least representative.  ``_scan`` keeps its last scan, so
-``check_identities`` and the all and tree image checks of one order, run
-one after another as ``verify`` runs them, share one scan of S_n; the
-block-wise check reads its own pruned scan.  The kept dict is shared, and
-callers only read it.  Above a per-route order the scan splits by first
-entry over one worker per CPU, and the merge keeps the first representative
-of each key in first-entry order, so results do not depend on the worker
-count.
+so no rejected permutation is ever completed; the others record whether the
+permutation holds a sum of three.  The block-wise scan also skips a prefix
+whose state, its family mask and the value ranges of the windows that can
+still grow into a block, an earlier prefix of the same length already
+reached: both complete to the same keys, and the earlier one to the smaller
+permutations.  It stops a prefix whose unplaced values form one run that
+would stack on a block ending at the last placed position.  Both routes
+complete only the permutations with p_1 < p_n: reversal keeps a
+permutation's intervals, turns a sum into a skew sum and keeps the block-
+wise family, so the other half of S_n holds no new key and no least
+representative.  ``_scan`` keeps its last scan, so ``check_identities`` and
+the all and tree image checks of one order, run one after another as
+``verify`` runs them, share one scan of S_n; the block-wise check reads its
+own pruned scan.  The kept dict is shared, and callers only read it.  Above
+a per-route order the scan splits by first entry over one worker per CPU,
+and the merge keeps the first representative of each key in first-entry
+order, so results do not depend on the worker count.
 """
 from __future__ import annotations
 
@@ -61,11 +66,14 @@ DEFAULT_POSET_CAPS = {
 }
 
 # highest order scanned serially whatever the CPU count, for the scan of all
-# permutations (False) and the pruned block-wise scan (True): starting a
-# pool costs more than it saves there (2-CPU Xeon, medians of 5: the scan
-# of S_7 takes 0.024 s serial against 0.028 s pooled, the pruned block-wise
-# scan of S_8 0.016 s against 0.027 s; one order up the pool wins, 0.097 s
-# against 0.127 s for S_8 and 0.106 s against 0.183 s block-wise for S_9)
+# permutations (False) and the block-wise scan (True): starting a pool
+# costs more than it saves there (2-CPU Xeon: the scan of S_7 takes
+# 0.024 s serial against 0.028 s pooled, median of 5, and the block-wise
+# scan of S_8 0.011 s against 0.035 s, median of 11; one order up the pool
+# wins, 0.097 s against 0.127 s for S_8, and block-wise 0.149 s against
+# 0.191 s for S_10).  The block-wise scan of S_9 is faster serial, 0.043 s
+# against 0.054 s pooled, but run serially it raises the calling process's
+# peak RSS by about 1.2 MB, so it stays on the pool.
 _SERIAL_THROUGH = {False: 7, True: 8}
 
 PAIRED_CLASS = {
@@ -86,26 +94,11 @@ IDENTITY_CAP = 8
 
 def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> one representative permutation, over the
-    permutations of 1..n starting with a fixed first entry.
+    permutations of 1..n starting with a fixed first entry, block-wise
+    simple if ``blockwise`` (whose ``triple`` is always 0).
 
-    A prefix DFS places values left to right in increasing order, so leaves
-    arrive in lexicographic order and each key keeps its smallest
-    permutation.  Placing a value at position k completes exactly the
-    windows [i..k]; one backward pass with a running min and max finds the
-    blocks among them and ORs bit ``lo * (n + 1) + hi`` of each into the
-    prefix's family mask, which at a leaf is exact.  Whether a window is a
-    block depends on its entries alone, so a sum found in a prefix is
-    permanent.  A new block [i..k] whose value range continues a block
-    ending at i - 1 upward or downward is the second part of a sum of two:
-    the block-wise family rejects the prefix there, and the other families
-    record the block as such a part.  When the block ending at i - 1 is
-    itself a second part stacked the same way, the three form a sum of
-    three, and ``triple`` records that the permutation has one.
-
-    Only permutations with p_1 < p_n are completed (n >= 2): ``used`` is
-    the value bitmask of the placed entries, and a prefix that has placed
-    every value above the first entry before position n returns, so a
-    first entry of n yields nothing.  This loses no key and no least
+    Only permutations with p_1 < p_n are completed (n >= 2), so a first
+    entry of n yields nothing.  This loses no key and no least
     representative.  ``reverse(p)`` has the same intervals as ``p``; a sum
     of three read backwards is a skew sum of three, and ``triple`` records
     both kinds; the block-wise family rejects sums of two stacked either
@@ -113,6 +106,26 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     reverse is the lexicographically smaller of the two.
     """
     n, first, blockwise = args
+    return (_scan_blockwise if blockwise else _scan_all)(n, first)
+
+
+def _scan_all(n: int, first: int) -> dict[int, tuple[int, ...]]:
+    """``mask << 1 | triple`` -> least permutation of 1..n starting with
+    ``first`` and ending above it.
+
+    A prefix DFS places values left to right in increasing order, so leaves
+    arrive in lexicographic order and each key keeps its smallest
+    permutation.  Placing a value at position k completes exactly the
+    windows [i..k]; one backward pass with a running min and max finds the
+    blocks among them and ORs bit ``lo * (n + 1) + hi`` of each into the
+    prefix's family mask, which at a leaf is exact.  A new block [i..k]
+    whose value range continues a block ending at i - 1 upward or downward
+    is the second part of a sum of two; when the block ending at i - 1 is
+    itself a second part stacked the same way, the three form a sum of
+    three, and ``triple`` records that the permutation has one.  ``used``
+    is the value bitmask of the placed entries, and a prefix that has
+    placed every value above the first entry before position n returns.
+    """
     width = n + 1
     values = (1 << width) - 2
     entries = [0] * n
@@ -135,12 +148,9 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
         if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
             return
         # values whose singleton continues a block ending at k - 1 upward
-        # or downward (the adjacent +-1 pair is the smallest case); a
-        # block-wise prefix drops them before any window is scanned
+        # or downward (the adjacent +-1 pair is the smallest case)
         after_his = his[k - 1] << 1
         stacked = after_his | los[k - 1] >> 1
-        if blockwise:
-            free &= ~stacked
         while free:
             bit = free & -free
             free ^= bit
@@ -165,29 +175,133 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
                     hi = e
                 if hi - lo == k - i:
                     if i and his[i - 1] >> (lo - 1) & 1:
-                        if blockwise:
-                            break
                         up_bits |= 1 << hi
                         has_triple |= ups[i - 1] >> (lo - 1) & 1
                     elif i and los[i - 1] >> (hi + 1) & 1:
-                        if blockwise:
-                            break
                         down_bits |= 1 << lo
                         has_triple |= downs[i - 1] >> (hi + 1) & 1
                     grown |= 1 << (lo * width + hi)
                     hi_bits |= 1 << hi
                     lo_bits |= 1 << lo
-            else:
-                entries[k] = v
-                his[k] = hi_bits
-                los[k] = lo_bits
-                ups[k] = up_bits
-                downs[k] = down_bits
-                extend(k + 1, grown, has_triple, used | bit)
+            entries[k] = v
+            his[k] = hi_bits
+            los[k] = lo_bits
+            ups[k] = up_bits
+            downs[k] = down_bits
+            extend(k + 1, grown, has_triple, used | bit)
 
     entries[0] = first
     his[0] = los[0] = 1 << first
     extend(1, 1 << (first * width + first), 0, 1 << first)
+    return found
+
+
+def _scan_blockwise(n: int, first: int) -> dict[int, tuple[int, ...]]:
+    """``mask << 1`` -> least block-wise simple permutation of 1..n
+    starting with ``first`` and ending above it (``_scan_all``'s keys,
+    whose triple flag is 0 on this family).
+
+    A prefix DFS in the order of ``_scan_all`` that rejects a value as soon
+    as a block it closes continues a block ending just before it, upward
+    or downward: a sum of two, which every completion keeps.  A start i is
+    *live* when no value placed before position i lies in the value range
+    (lo, hi) of the window [i..k] ending at the last placed position k.
+    Only a live start can begin a later block, and a dead one stays dead,
+    so each prefix hands its live starts to its children, and placing a
+    value tests only their windows and the new singleton.
+
+    A live window holds exactly the placed values of its range.  So the
+    prefix's *state*, its family mask (whose singletons are the placed
+    values) and the ranges of its live starts, fixes every later test:
+
+    - whether a later window [i..j] stays live, is a block and which bit
+      it sets depend on its range, the placed values and the suffix;
+    - it is a sum of two when a block ending at i - 1 has hi = lo' - 1 or
+      lo = hi' + 1, for its range (lo', hi').  Then lo' - 1 can only be c,
+      the nearest placed value below lo, and a block over (x, c) ends at
+      i - 1 just when some live start has the range (x, hi) and x..c are
+      all placed; likewise above hi;
+    - the blocks ending at k, which the next value reads, are the live
+      ranges with no unplaced value.
+
+    Two prefixes in one state therefore complete to the same suffixes and
+    keys.  The DFS meets the prefixes of one length in lexicographic
+    order, so the first in a state holds the least representative of each
+    key it reaches, and a later prefix in that state is not extended: no
+    key, representative or insertion order changes.  One int holds the
+    state: the mask, and above it one bit per live range at
+    ``lo * (n + 1) + hi``.
+
+    When the unplaced values form one run [a..b], every completion ends
+    with a block over them; if a block ending at k has hi = a - 1 or
+    lo = b + 1, each completion holds a sum of two and the prefix returns
+    (so a first entry of 1 yields nothing at once).
+    """
+    width = n + 1
+    cells = width * width
+    values = (1 << width) - 2
+    entries = [0] * n
+    # value bitmasks of the his and los of the blocks ending just before
+    # each position (0 before position 0), and of the values placed before it
+    his = [0] * (n + 1)
+    los = [0] * (n + 1)
+    before = [0] * n
+    seen: set[int] = set()
+    found: dict[int, tuple[int, ...]] = {}
+
+    def extend(k: int, mask: int, used: int,
+               starts: list[tuple[int, int, int]]):
+        if k == n:
+            if mask << 1 not in found:
+                found[mask << 1] = tuple(entries)
+            return
+        free = values & ~used
+        if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
+            return
+        low = free & -free
+        if not free & free + low and (his[k] & low >> 1
+                                      or los[k] & free + low):
+            return  # the run of unplaced values stacks on a block
+        before[k] = used
+        # drop the values whose singleton stacks on a block ending at k - 1
+        free &= ~(his[k] << 1 | los[k] >> 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            grown = mask | 1 << (v * width + v)
+            hi_bits = lo_bits = bit
+            kept = [(k, v, v)]
+            live = 1 << (v * width + v)
+            for i, lo, hi in starts:
+                if v < lo:
+                    if before[i] & (1 << lo) - bit:
+                        continue  # the start dies
+                    lo = v
+                elif v > hi:
+                    if before[i] & bit - (2 << hi):
+                        continue
+                    hi = v
+                if hi - lo == k - i:
+                    if his[i] >> (lo - 1) & 1 or los[i] >> (hi + 1) & 1:
+                        break  # a sum of two
+                    grown |= 1 << (lo * width + hi)
+                    hi_bits |= 1 << hi
+                    lo_bits |= 1 << lo
+                kept.append((i, lo, hi))
+                live |= 1 << (lo * width + hi)
+            else:
+                state = live << cells | grown
+                if state not in seen:
+                    seen.add(state)
+                    entries[k] = v
+                    his[k + 1] = hi_bits
+                    los[k + 1] = lo_bits
+                    extend(k + 1, grown, used | bit, kept)
+
+    entries[0] = first
+    his[1] = los[1] = 1 << first
+    extend(1, 1 << (first * width + first), 1 << first, [(0, first, first)])
     return found
 
 

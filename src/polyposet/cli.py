@@ -99,7 +99,12 @@ def _cmd_realize(args) -> int:
     if header is not None and header[1] != args.n:
         raise ValueError(f"line {header[0]}: header order {header[1]} "
                          f"does not match --n {args.n}")
-    witness = realize(intervals, args.n, cap=args.cap)
+    try:
+        witness = realize(intervals, args.n, cap=args.cap)
+    except RecursionError:  # the prefix search recurses once per position
+        raise ValueError(f"order {args.n} is too deep for the prefix search "
+                         f"(recursion limit {sys.getrecursionlimit()})") \
+            from None
     print(str(witness) if witness is not None else "none")
     return 0
 

@@ -105,6 +105,18 @@ def test_image_masks_are_the_class_members(family, n):
     assert images == set(polygon._members(n + 1, census.PAIRED_CLASS[family]))
 
 
+def test_blockwise_scan_reaches_order_eleven(fixtures_dir):
+    # one order past the census cap: the A054514 term (index k is order
+    # k + 3) and, as a set, the tri/quad-free dissections of the 12-gon
+    with open(fixtures_dir / "b054514.txt", encoding="utf-8") as handle:
+        reference = dict(load_bfile(handle))
+    masks = census._distinct_families(11, Family.BLOCKWISE_SIMPLE, 11)
+    assert len(masks) == reference[8]
+    images = {mask & ~_trivial_mask(11) for mask in masks}
+    assert images == set(polygon._members(
+        12, DissectionClass.NONCROSSING_TRI_QUAD_FREE, 12))
+
+
 def test_compare_counts_row():
     row = compare_counts(4, Family.ALL)
     assert row.n == 4
@@ -201,12 +213,13 @@ def test_blockwise_representatives_have_no_sum_of_two():
 
 
 SCAN_ORDERS = [(False, n) for n in range(1, 9)] + \
-    [(True, n) for n in range(1, 10)]
+    [(True, n) for n in range(1, 11)]
 
 
 def test_scan_matches_the_unpruned_scan_serial_and_pooled(monkeypatch):
-    # the reverse prune keeps every key, representative and their order,
-    # on either route
+    # the reverse prune, and on the block-wise route the run prune and the
+    # skip of repeated prefix states, keep every key, representative and
+    # their order
     expected = {(blockwise, n): list(oracle_scan(n, blockwise).items())
                 for blockwise, n in SCAN_ORDERS}
     monkeypatch.setattr(census.os, "cpu_count", lambda: 1)

@@ -163,6 +163,20 @@ def test_realize_cap_exit_code(tmp_path):
                 "--intervals", str(path)]) == 0
 
 
+def test_realize_too_deep_for_the_search_is_an_error_line(monkeypatch,
+                                                          capsys):
+    # the trivial family of order 1100 is one prime node, whose pattern
+    # the prefix search would find one recursion level per position
+    lines = [f"{i} {i}" for i in range(1, 1101)] + ["1 1100"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert run(["realize", "--n", "1100", "--cap", "1100",
+                "--intervals", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: order 1100 is too deep for the prefix "
+                          "search") and err.count("\n") == 1, err
+
+
 def test_realize_deep_family(monkeypatch, capsys):
     # the intervals of 1 400 2 399 ... 200 201: singletons and suffixes
     lines = [f"{i} {i}" for i in range(1, 401)]
