@@ -6,25 +6,18 @@ structural identity and image checks, and OEIS b-file cross-checks.
 Every poset-side route reads one prefix DFS over S_n (``_scan``), which
 keeps each distinct family as a bitmask, bit ``lo * (n + 1) + hi`` per
 interval, up to the verdict: the tree filter and the checks of ``poset``
-and ``polygon`` read the mask, and only canonical keys decode it.  The
-block-wise family prunes a prefix as soon as it holds a sum of two blocks,
-so no rejected permutation is ever completed; the others record whether the
-permutation holds a sum of three.  The block-wise scan also skips a prefix
-whose state, its family mask and the value ranges of the windows that can
-still grow into a block, an earlier prefix of the same length already
-reached: both complete to the same keys, and the earlier one to the smaller
-permutations.  It stops a prefix whose unplaced values form one run that
-would stack on a block ending at the last placed position.  Both routes
-complete only the permutations with p_1 < p_n: reversal keeps a
-permutation's intervals, turns a sum into a skew sum and keeps the block-
-wise family, so the other half of S_n holds no new key and no least
-representative.  ``_scan`` keeps its last scan, so ``check_identities`` and
-the all and tree image checks of one order, run one after another as
-``verify`` runs them, share one scan of S_n; the block-wise check reads its
-own pruned scan.  The kept dict is shared, and callers only read it.  Above
-a per-route order the scan splits by first entry over one worker per CPU,
-and the merge keeps the first representative of each key in first-entry
-order, so results do not depend on the worker count.
+and ``polygon`` read the mask, and only canonical keys decode it.  One
+kernel, ``_scan_block``, runs the DFS for both routes, and its docstring
+states its rules: the live starts it walks, the sum of three it records,
+the block-wise family's prunes and why they are exact, and why only
+permutations with p_1 < p_n are completed.  ``_scan`` keeps its last scan,
+so ``check_identities`` and the all and tree image checks of one order, run
+one after another as ``verify`` runs them, share one scan of S_n; the
+block-wise check reads its own pruned scan.  The kept dict is shared, and
+callers only read it.  Above a per-route order the scan splits by first
+entry over one worker per CPU, and the merge keeps the first representative
+of each key in first-entry order, so results do not depend on the worker
+count.
 """
 from __future__ import annotations
 
@@ -46,7 +39,7 @@ from .perm import Permutation, _intervals_of_entries
 from .polygon import (DissectionClass, CapExceeded, _in_class, _members,
                       check_dissection_cap, enumerate_dissections)  # noqa: F401
 from .poset import (_closure_violation_rows, _family_of_mask,
-                    _is_laminar_rows, _mask_of, _node, _rows,
+                    _is_laminar_rows, _mask_of, _mask_verdict, _node, _rows,
                     _three_descendant_violation_rows, _trivial_mask,
                     key_of_family)
 
@@ -67,13 +60,13 @@ DEFAULT_POSET_CAPS = {
 
 # highest order scanned serially whatever the CPU count, for the scan of all
 # permutations (False) and the block-wise scan (True): starting a pool
-# costs more than it saves there (2-CPU Xeon: the scan of S_7 takes
-# 0.024 s serial against 0.028 s pooled, median of 5, and the block-wise
-# scan of S_8 0.011 s against 0.035 s, median of 11; one order up the pool
-# wins, 0.097 s against 0.127 s for S_8, and block-wise 0.149 s against
-# 0.191 s for S_10).  The block-wise scan of S_9 is faster serial, 0.043 s
-# against 0.054 s pooled, but run serially it raises the calling process's
-# peak RSS by about 1.2 MB, so it stays on the pool.
+# costs more than it saves there (2-CPU Xeon, one scan per fresh process,
+# medians of 21 rounds: S_7 takes 0.015 s serial against 0.038 s pooled,
+# and block-wise S_8 0.006 s against 0.029 s).  One order up, serial is
+# still faster in wall time, S_8 0.105 s against 0.137 s, and block-wise
+# S_9 0.029 s against 0.055 s and S_10 0.120 s against 0.147 s, but a
+# scan run serially keeps memory in the calling process (block-wise S_9
+# raised its peak RSS by about 1.2 MB), and the pool's workers do not.
 _SERIAL_THROUGH = {False: 7, True: 8}
 
 PAIRED_CLASS = {
@@ -93,126 +86,41 @@ IDENTITY_CAP = 8
 
 
 def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
-    """``mask << 1 | triple`` -> one representative permutation, over the
-    permutations of 1..n starting with a fixed first entry, block-wise
-    simple if ``blockwise`` (whose ``triple`` is always 0).
-
-    Only permutations with p_1 < p_n are completed (n >= 2), so a first
-    entry of n yields nothing.  This loses no key and no least
-    representative.  ``reverse(p)`` has the same intervals as ``p``; a sum
-    of three read backwards is a skew sum of three, and ``triple`` records
-    both kinds; the block-wise family rejects sums of two stacked either
-    way.  So ``p`` and ``reverse(p)`` share a key, and when p_1 > p_n the
-    reverse is the lexicographically smaller of the two.
-    """
-    n, first, blockwise = args
-    return (_scan_blockwise if blockwise else _scan_all)(n, first)
-
-
-def _scan_all(n: int, first: int) -> dict[int, tuple[int, ...]]:
     """``mask << 1 | triple`` -> least permutation of 1..n starting with
-    ``first`` and ending above it.
+    ``first`` and ending above it, block-wise simple if ``blockwise``
+    (whose ``triple`` is always 0).
 
     A prefix DFS places values left to right in increasing order, so leaves
     arrive in lexicographic order and each key keeps its smallest
-    permutation.  Placing a value at position k completes exactly the
-    windows [i..k]; one backward pass with a running min and max finds the
-    blocks among them and ORs bit ``lo * (n + 1) + hi`` of each into the
-    prefix's family mask, which at a leaf is exact.  A new block [i..k]
-    whose value range continues a block ending at i - 1 upward or downward
-    is the second part of a sum of two; when the block ending at i - 1 is
-    itself a second part stacked the same way, the three form a sum of
-    three, and ``triple`` records that the permutation has one.  ``used``
-    is the value bitmask of the placed entries, and a prefix that has
-    placed every value above the first entry before position n returns.
-    """
-    width = n + 1
-    values = (1 << width) - 2
-    entries = [0] * n
-    # value bitmasks of the his and los of the blocks ending at each
-    # position, and of the his (ups) and los (downs) of those among them
-    # that are the second part of an ascending or a descending sum of two
-    his = [0] * n
-    los = [0] * n
-    ups = [0] * n
-    downs = [0] * n
-    found: dict[int, tuple[int, ...]] = {}
+    permutation.  Placing a value at position k completes the windows
+    [i..k]; each block among them ORs bit ``lo * (n + 1) + hi`` into the
+    prefix's family mask, which at a leaf is exact.  ``used`` is the value
+    bitmask of the placed entries.
 
-    def extend(k: int, mask: int, triple: int, used: int):
-        if k == n:
-            key = mask << 1 | triple
-            if key not in found:
-                found[key] = tuple(entries)
-            return
-        free = values & ~used
-        if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
-            return
-        # values whose singleton continues a block ending at k - 1 upward
-        # or downward (the adjacent +-1 pair is the smallest case)
-        after_his = his[k - 1] << 1
-        stacked = after_his | los[k - 1] >> 1
-        while free:
-            bit = free & -free
-            free ^= bit
-            v = bit.bit_length() - 1
-            up_bits = down_bits = 0
-            has_triple = triple
-            if stacked & bit:
-                if after_his & bit:
-                    up_bits = bit
-                    has_triple |= ups[k - 1] >> (v - 1) & 1
-                else:
-                    down_bits = bit
-                    has_triple |= downs[k - 1] >> (v + 1) & 1
-            lo = hi = v
-            grown = mask | 1 << (v * width + v)
-            hi_bits = lo_bits = bit
-            for i in range(k - 1, -1, -1):
-                e = entries[i]
-                if e < lo:
-                    lo = e
-                elif e > hi:
-                    hi = e
-                if hi - lo == k - i:
-                    if i and his[i - 1] >> (lo - 1) & 1:
-                        up_bits |= 1 << hi
-                        has_triple |= ups[i - 1] >> (lo - 1) & 1
-                    elif i and los[i - 1] >> (hi + 1) & 1:
-                        down_bits |= 1 << lo
-                        has_triple |= downs[i - 1] >> (hi + 1) & 1
-                    grown |= 1 << (lo * width + hi)
-                    hi_bits |= 1 << hi
-                    lo_bits |= 1 << lo
-            entries[k] = v
-            his[k] = hi_bits
-            los[k] = lo_bits
-            ups[k] = up_bits
-            downs[k] = down_bits
-            extend(k + 1, grown, has_triple, used | bit)
+    *Liveness.*  A start i is live when no value placed before position i
+    lies in the value range (lo, hi) of the window [i..k] ending at the
+    last placed position k.  Only a live start can begin a later block,
+    and a dead one stays dead, so each prefix hands its live starts
+    ``(i, lo, hi)`` to its children, and placing a value v tests only
+    their windows and the new singleton.  A live window holds exactly the
+    placed values of its range, so a placed value in the range that v
+    newly covers sits before position i: the start dies just when ``used``
+    meets that range.
 
-    entries[0] = first
-    his[0] = los[0] = 1 << first
-    extend(1, 1 << (first * width + first), 0, 1 << first)
-    return found
+    *Stacking.*  A new block whose value range continues a block ending at
+    i - 1 upward or downward is the second part of a sum of two; when that
+    block is itself a second part stacked the same way, the three form a
+    sum of three, and ``triple`` records that the permutation has one.
 
-
-def _scan_blockwise(n: int, first: int) -> dict[int, tuple[int, ...]]:
-    """``mask << 1`` -> least block-wise simple permutation of 1..n
-    starting with ``first`` and ending above it (``_scan_all``'s keys,
-    whose triple flag is 0 on this family).
-
-    A prefix DFS in the order of ``_scan_all`` that rejects a value as soon
-    as a block it closes continues a block ending just before it, upward
-    or downward: a sum of two, which every completion keeps.  A start i is
-    *live* when no value placed before position i lies in the value range
-    (lo, hi) of the window [i..k] ending at the last placed position k.
-    Only a live start can begin a later block, and a dead one stays dead,
-    so each prefix hands its live starts to its children, and placing a
-    value tests only their windows and the new singleton.
-
-    A live window holds exactly the placed values of its range.  So the
-    prefix's *state*, its family mask (whose singletons are the placed
-    values) and the ranges of its live starts, fixes every later test:
+    *Block-wise rules.*  A sum of two stays in every completion, so the
+    block-wise scan rejects a value as soon as a block it closes stacks,
+    drops the values whose singleton stacks before trying any, and returns
+    from a prefix whose unplaced values form one run [a..b] when a block
+    ending at k has hi = a - 1 or lo = b + 1 (every completion ends with a
+    block over the run; a first entry of 1 yields nothing at once).  It
+    also skips a prefix whose *state*, its family mask (whose singletons
+    are the placed values) and the ranges of its live starts, an earlier
+    prefix of the same length reached.  The state fixes every later test:
 
     - whether a later window [i..j] stays live, is a block and which bit
       it sets depend on its range, the placed values and the suffix;
@@ -225,83 +133,114 @@ def _scan_blockwise(n: int, first: int) -> dict[int, tuple[int, ...]]:
       ranges with no unplaced value.
 
     Two prefixes in one state therefore complete to the same suffixes and
-    keys.  The DFS meets the prefixes of one length in lexicographic
-    order, so the first in a state holds the least representative of each
-    key it reaches, and a later prefix in that state is not extended: no
-    key, representative or insertion order changes.  One int holds the
-    state: the mask, and above it one bit per live range at
-    ``lo * (n + 1) + hi``.
+    keys, and the first holds the least representative of each key it
+    reaches, so no key, representative or insertion order changes.  One
+    int holds the state: the mask, and above it one bit per live range.
 
-    When the unplaced values form one run [a..b], every completion ends
-    with a block over them; if a block ending at k has hi = a - 1 or
-    lo = b + 1, each completion holds a sum of two and the prefix returns
-    (so a first entry of 1 yields nothing at once).
+    *Reverse prune.*  Only permutations with p_1 < p_n are completed
+    (n >= 2), so a first entry of n yields nothing.  This loses no key and
+    no least representative.  ``reverse(p)`` has the same intervals as
+    ``p``; a sum of three read backwards is a skew sum of three, and
+    ``triple`` records both kinds; the block-wise family rejects sums of
+    two stacked either way.  So ``p`` and ``reverse(p)`` share a key, and
+    when p_1 > p_n the reverse is the lexicographically smaller of the two.
     """
+    n, first, blockwise = args
     width = n + 1
     cells = width * width
     values = (1 << width) - 2
     entries = [0] * n
     # value bitmasks of the his and los of the blocks ending just before
-    # each position (0 before position 0), and of the values placed before it
+    # each position (0 before position 0), and of the his (ups) and los
+    # (downs) of those among them that are the second part of an ascending
+    # or a descending sum of two
     his = [0] * (n + 1)
     los = [0] * (n + 1)
-    before = [0] * n
+    ups = [0] * (n + 1)
+    downs = [0] * (n + 1)
     seen: set[int] = set()
     found: dict[int, tuple[int, ...]] = {}
 
-    def extend(k: int, mask: int, used: int,
+    def extend(k: int, mask: int, triple: int, used: int,
                starts: list[tuple[int, int, int]]):
         if k == n:
-            if mask << 1 not in found:
-                found[mask << 1] = tuple(entries)
+            key = mask << 1 | triple
+            if key not in found:
+                found[key] = tuple(entries)
             return
         free = values & ~used
         if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
             return
-        low = free & -free
-        if not free & free + low and (his[k] & low >> 1
-                                      or los[k] & free + low):
-            return  # the run of unplaced values stacks on a block
-        before[k] = used
-        # drop the values whose singleton stacks on a block ending at k - 1
-        free &= ~(his[k] << 1 | los[k] >> 1)
+        # values whose singleton continues a block ending at k - 1 upward
+        # or downward (the adjacent +-1 pair is the smallest case)
+        after_his = his[k] << 1
+        stacked = after_his | los[k] >> 1
+        if blockwise:
+            low = free & -free
+            if not free & free + low and (his[k] & low >> 1
+                                          or los[k] & free + low):
+                return  # the run of unplaced values stacks on a block
+            free &= ~stacked
         while free:
             bit = free & -free
             free ^= bit
             v = bit.bit_length() - 1
-            grown = mask | 1 << (v * width + v)
+            up_bits = down_bits = 0
+            has_triple = triple
+            if stacked & bit:
+                if after_his & bit:
+                    up_bits = bit
+                    has_triple |= ups[k] >> (v - 1) & 1
+                else:
+                    down_bits = bit
+                    has_triple |= downs[k] >> (v + 1) & 1
+            live = 1 << (v * width + v)
+            grown = mask | live
             hi_bits = lo_bits = bit
             kept = [(k, v, v)]
-            live = 1 << (v * width + v)
             for i, lo, hi in starts:
                 if v < lo:
-                    if before[i] & (1 << lo) - bit:
+                    if used & (1 << lo) - bit:
                         continue  # the start dies
                     lo = v
                 elif v > hi:
-                    if before[i] & bit - (2 << hi):
+                    if used & bit - (2 << hi):
                         continue
                     hi = v
                 if hi - lo == k - i:
-                    if his[i] >> (lo - 1) & 1 or los[i] >> (hi + 1) & 1:
-                        break  # a sum of two
+                    if his[i] >> (lo - 1) & 1:
+                        if blockwise:
+                            break  # a sum of two
+                        up_bits |= 1 << hi
+                        has_triple |= ups[i] >> (lo - 1) & 1
+                    elif los[i] >> (hi + 1) & 1:
+                        if blockwise:
+                            break
+                        down_bits |= 1 << lo
+                        has_triple |= downs[i] >> (hi + 1) & 1
                     grown |= 1 << (lo * width + hi)
                     hi_bits |= 1 << hi
                     lo_bits |= 1 << lo
                 kept.append((i, lo, hi))
-                live |= 1 << (lo * width + hi)
+                if blockwise:
+                    live |= 1 << (lo * width + hi)
             else:
-                state = live << cells | grown
-                if state not in seen:
+                if blockwise:
+                    state = live << cells | grown
+                    if state in seen:
+                        continue
                     seen.add(state)
-                    entries[k] = v
-                    his[k + 1] = hi_bits
-                    los[k + 1] = lo_bits
-                    extend(k + 1, grown, used | bit, kept)
+                entries[k] = v
+                his[k + 1] = hi_bits
+                los[k + 1] = lo_bits
+                ups[k + 1] = up_bits
+                downs[k + 1] = down_bits
+                extend(k + 1, grown, has_triple, used | bit, kept)
 
     entries[0] = first
     his[1] = los[1] = 1 << first
-    extend(1, 1 << (first * width + first), 1 << first, [(0, first, first)])
+    extend(1, 1 << (first * width + first), 0, 1 << first,
+           [(0, first, first)])
     return found
 
 
@@ -513,8 +452,9 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
 
     A family lacking a singleton or (1, n) is None before either route
     runs.  The composed permutation is returned only when its own
-    intervals are exactly the family; otherwise (the tree reading assumes
-    a realizable family) the answer is ``_search``'s, so a None never
+    intervals are exactly the family.  Otherwise (the tree reading assumes
+    a realizable family) a family that ``validate_interval_family`` refutes
+    is None, and the answer to any other is ``_search``'s, so a None never
     rests on the decomposition theorem.
 
     >>> singles = {(i, i) for i in range(1, 5)}
@@ -529,6 +469,8 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
         return None
     entries = _compose(allowed, n)
     if entries is None or _mask_of(_intervals_of_entries(entries), n) != allowed:
+        if not _mask_verdict(allowed, n).ok:
+            return None
         entries = _search(allowed, n)
     return None if entries is None else Permutation(entries)
 

@@ -290,7 +290,11 @@ def validate_interval_family(intervals: Iterable[tuple[int, int]],
     (census ``realize``).  An order below 1 or an interval outside 1..n is
     an input error (``ValueError``), as in ``realize``.
     """
-    mask = _mask_of(intervals, n)
+    return _mask_verdict(_mask_of(intervals, n), n)
+
+
+def _mask_verdict(mask: int, n: int) -> FamilyVerdict:
+    """``validate_interval_family`` on a family mask."""
     missing = _trivial_mask(n) & ~mask
     if missing:
         return FamilyVerdict(False, "trivial-intervals",

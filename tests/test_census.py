@@ -451,7 +451,24 @@ def test_realize_is_the_scan_representative():
             assert realize(intervals, n, cap=n).entries == entries
 
 
-def test_realize_matches_backtracking_on_every_small_family():
+def _spy_search(monkeypatch) -> list[tuple[int, int]]:
+    """(mask, n) of every later ``census._search`` call, after the simple
+    patterns of arity up to 5 are cached."""
+    for k in range(1, 6):
+        census._simple_pattern(k)
+    calls = []
+    search = census._search
+
+    def spy(allowed, n):
+        calls.append((allowed, n))
+        return search(allowed, n)
+
+    monkeypatch.setattr(census, "_search", spy)
+    return calls
+
+
+def test_realize_matches_backtracking_on_every_small_family(monkeypatch):
+    calls = _spy_search(monkeypatch)
     seen = unrealizable = 0
     for n in range(1, 6):
         proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
@@ -469,6 +486,23 @@ def test_realize_matches_backtracking_on_every_small_family():
                 unrealizable += want is None
     # the realizable ones are the 1 + 1 + 3 + 12 + 52 distinct posets
     assert (seen, unrealizable) == (550, 550 - 69)
+    # a family that validation refutes is None without a search
+    for allowed, n in calls:
+        assert validate_interval_family(_family_of_mask(allowed, n + 1), n).ok
+
+
+def test_realize_refuted_family_is_none_without_a_search(monkeypatch):
+    # 20 1 19 2 ... 11 10 alternates 1 (-) p and 1 (+) p; without its
+    # interval (5, 15) the family is refuted, though no search finds that
+    # quickly (the search alone takes about 0.4 s on a 2-CPU Xeon)
+    entries = tuple(v for pair in zip(range(20, 10, -1), range(1, 11))
+                    for v in pair)
+    fam = all_intervals(Permutation(entries)) - {(5, 15)}
+    assert len(fam) == len(all_intervals(Permutation(entries))) - 1
+    assert validate_interval_family(fam, 20).failure == "three-descendants"
+    calls = _spy_search(monkeypatch)
+    assert realize(fam, 20, cap=20) is None
+    assert calls == []
 
 
 def test_realize_composes_every_scan_family_without_searching(monkeypatch):
