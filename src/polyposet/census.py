@@ -59,15 +59,12 @@ DEFAULT_POSET_CAPS = {
 }
 
 # highest order scanned serially whatever the CPU count, for the scan of all
-# permutations (False) and the block-wise scan (True): starting a pool
-# costs more than it saves there (2-CPU Xeon, one scan per fresh process,
-# medians of 21 rounds: S_7 takes 0.015 s serial against 0.038 s pooled,
-# and block-wise S_8 0.006 s against 0.029 s).  One order up, serial is
-# still faster in wall time, S_8 0.105 s against 0.137 s, and block-wise
-# S_9 0.029 s against 0.055 s and S_10 0.120 s against 0.147 s, but a
-# scan run serially keeps memory in the calling process (block-wise S_9
-# raised its peak RSS by about 1.2 MB), and the pool's workers do not.
-_SERIAL_THROUGH = {False: 7, True: 8}
+# permutations (False) and the block-wise scan (True): above it a pool wins
+# when a second CPU is free (2-CPU Xeon, medians in one warm process: all
+# S_8 0.199 s serial against 0.133 s pooled, block-wise S_9 0.051 s against
+# 0.055 s and S_10 0.217 s against 0.151 s), though on a busy host serial
+# all S_8 is faster.
+_SERIAL_THROUGH = {False: 7, True: 9}
 
 PAIRED_CLASS = {
     Family.ALL: DissectionClass.FRAMED_QUAD_FREE,
@@ -241,6 +238,7 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     his[1] = los[1] = 1 << first
     extend(1, 1 << (first * width + first), 0, 1 << first,
            [(0, first, first)])
+    del extend  # it refers to itself; the cycle would keep the walk's state
     return found
 
 
@@ -552,7 +550,9 @@ def _search(allowed: int, n: int) -> tuple[int, ...] | None:
                     return True
         return False
 
-    return tuple(entries) if extend(0, 0) else None
+    realized = extend(0, 0)
+    del extend  # as in _scan_block: free the walk's state now
+    return tuple(entries) if realized else None
 
 
 @dataclasses.dataclass(frozen=True)

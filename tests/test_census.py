@@ -1,5 +1,6 @@
 """Tests for the census, realization and verification layer."""
 
+import gc
 import io
 import itertools
 import json
@@ -242,6 +243,25 @@ def test_scan_matches_the_unpruned_scan_serial_and_pooled(monkeypatch):
     assert pools == [min(3, n) for _, n in SCAN_ORDERS]
 
 
+def test_finished_prefix_searches_leave_no_cyclic_garbage():
+    # both DFSs recurse through a nested closure that refers to itself;
+    # while that cycle stands, a finished walk's state stays alive until
+    # the next full collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for blockwise, n in ((False, 7), (True, 9)):
+            census._scan_block((n, 2, blockwise))
+            assert gc.collect() == 0, ("_scan_block", blockwise, n)
+        for n in (3, 8):  # no simple permutation of order 3
+            census._search(_trivial_mask(n), n)
+            assert gc.collect() == 0, ("_search", n)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_unpruned_representatives_end_above_their_first_entry():
     # the prune's premise, checked on the scan that completes every
     # permutation: each key's least permutation has p_1 < p_n
@@ -470,7 +490,7 @@ def _spy_search(monkeypatch) -> list[tuple[int, int]]:
 def test_realize_matches_backtracking_on_every_small_family(monkeypatch):
     calls = _spy_search(monkeypatch)
     seen = unrealizable = 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         proper = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
                   if (a, b) != (1, n)]
         trivial = {(i, i) for i in range(1, n + 1)} | {(1, n)}
@@ -484,8 +504,8 @@ def test_realize_matches_backtracking_on_every_small_family(monkeypatch):
                     (want is not None), (n, extra)
                 seen += 1
                 unrealizable += want is None
-    # the realizable ones are the 1 + 1 + 3 + 12 + 52 distinct posets
-    assert (seen, unrealizable) == (550, 550 - 69)
+    # the realizable ones are the 1 + 1 + 3 + 12 + 52 + 240 distinct posets
+    assert (seen, unrealizable) == (16934, 16934 - 309)
     # a family that validation refutes is None without a search
     for allowed, n in calls:
         assert validate_interval_family(_family_of_mask(allowed, n + 1), n).ok
