@@ -50,8 +50,10 @@ def phi_inverse(D: Dissection) -> IntervalPoset:
     [(1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
     """
     n = D.m - 1
-    return IntervalPoset(n, {(1, n), *((v, v) for v in range(1, n + 1)),
-                             *((u, v - 1) for u, v in D.diagonals)})
+    family = [(v, v) for v in range(1, n + 1)]
+    family.append((1, n))
+    family += [(u, v - 1) for u, v in D.diagonals]
+    return IntervalPoset(n, family)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,13 +33,14 @@ from typing import IO, Iterable
 from ._lines import MalformedLine, read_pairs  # noqa: F401 (re-exported)
 # classify_image is re-exported for the benchmark's census.classify_image hook
 from .bijection import classify_image  # noqa: F401
-from .perm import Permutation, _intervals_of_entries
+from .perm import Permutation
 # enumerate_dissections is re-exported for the benchmark's
 # census.enumerate_dissections hook
 from .polygon import (DissectionClass, CapExceeded, _in_class, _members,
                       check_dissection_cap, enumerate_dissections)  # noqa: F401
 from .poset import (_closure_violation_rows, _family_of_mask,
-                    _is_laminar_rows, _mask_of, _mask_verdict, _node, _rows,
+                    _is_laminar_rows, _mask_of, _mask_of_entries,
+                    _mask_verdict, _node, _rows,
                     _three_descendant_violation_rows, _trivial_mask,
                     key_of_family)
 
@@ -466,7 +467,7 @@ def realize(intervals: Iterable[tuple[int, int]], n: int,
     if _trivial_mask(n) & ~allowed:
         return None
     entries = _compose(allowed, n)
-    if entries is None or _mask_of(_intervals_of_entries(entries), n) != allowed:
+    if entries is None or _mask_of_entries(entries) != allowed:
         if not _mask_verdict(allowed, n).ok:
             return None
         entries = _search(allowed, n)

@@ -6,15 +6,16 @@ Minimal elements are the singletons, the maximum is (1, n), and the cover
 relation is inclusion-maximality.  Children of a node are ordered by their
 minimum, which fixes the plane embedding used by the renderer.
 
-This module alone defines a family's bitmask layout (``_mask_of``), its
-rows (``_rows``), which a caller builds once and passes to each check, and
+This module alone defines a family's bitmask layout (``_mask_of``, and
+``_mask_of_entries`` for a permutation's own intervals), its rows
+(``_rows``), which a caller builds once and passes to each check, and
 its Hasse children, of one member (``_children``) or of every member
 (``_inner_members``); ``polygon`` and ``census`` (``_node``) read them.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._lines import read_pairs
 from .perm import Permutation, all_intervals
@@ -73,20 +74,40 @@ def _mask_of(intervals, n: int) -> int:
     least such interval."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    # one row of maxima per minimum, then joined; each shift copies the
-    # whole mask, so the join still takes cubic bit operations in n
-    rows, bad = [0] * (n + 1), []
+    # one binary digit per bit, least significant first, read as an int
+    # once: time linear in the (n + 1)^2 bits, where OR-ing each bit into
+    # an int, or shifting rows into it, copies the whole mask every time
+    width, bad = n + 1, []
+    digits = bytearray(b"0") * (width * width)
     for lo, hi in intervals:
         if 1 <= lo <= hi <= n:
-            rows[lo] |= 1 << hi
+            digits[lo * width + hi] = 49  # ord("1")
         else:
             bad.append((lo, hi))
     if bad:
         raise ValueError(f"interval {min(bad)} out of range for n={n}")
-    mask = 0
-    for row in reversed(rows):
-        mask = mask << n + 1 | row
-    return mask
+    return int(digits[::-1], 2)
+
+
+def _mask_of_entries(entries: Sequence[int]) -> int:
+    """``_mask_of(_intervals_of_entries(entries), n)`` of a raw value tuple
+    of order n: the sliding min/max window loop of ``perm._iter_blocks``,
+    setting each block's binary digit as it is found."""
+    n = len(entries)
+    width = n + 1
+    digits = bytearray(b"0") * (width * width)
+    for i in range(n):
+        lo = hi = entries[i]
+        digits[lo * width + lo] = 49  # ord("1")
+        for j in range(i + 1, n):
+            v = entries[j]
+            if v < lo:
+                lo = v
+            elif v > hi:
+                hi = v
+            if hi - lo == j - i:
+                digits[lo * width + hi] = 49
+    return int(digits[::-1], 2)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -155,11 +176,18 @@ def _node(rows: list[int], lo: int, hi: int) -> tuple[bool, list[tuple[int, int]
     >>> _node(rows, 1, 4)
     (False, [(1, 1), (2, 2), (3, 3), (4, 4)])
     """
-    splits = [e for e in _bits(rows[lo] & (1 << hi) - (1 << lo))
-              if rows[e + 1] >> hi & 1]
-    if not splits:
+    parts, start = [], lo
+    ends = rows[lo] & (1 << hi) - (1 << lo)
+    while ends:
+        e = (ends & -ends).bit_length() - 1
+        ends &= ends - 1
+        if rows[e + 1] >> hi & 1:
+            parts.append((start, e))
+            start = e + 1
+    if not parts:
         return False, _children(rows, lo, hi)
-    return True, [(a + 1, b) for a, b in zip([lo - 1] + splits, splits + [hi])]
+    parts.append((start, hi))
+    return True, parts
 
 
 def _is_laminar_rows(rows: list[int]) -> bool:
@@ -257,7 +285,10 @@ def _closure_violation_rows(rows: list[int]):
     the maxima d > b all fail from the least on when (c, b) or (a, c - 1)
     is missing, and otherwise fail where (a, d) or (b + 1, d) is."""
     for a in range(1, len(rows) - 1):
-        for b in _bits(rows[a] >> a + 1 << a + 1):
+        his = rows[a] >> a + 1 << a + 1
+        while his:
+            b = (his & -his).bit_length() - 1
+            his &= his - 1
             for c in range(a + 1, b + 1):
                 ds = rows[c] >> b + 1 << b + 1
                 if ds and rows[c] >> b & rows[a] >> c - 1 & 1:
@@ -274,9 +305,18 @@ def _closure_violation_rows(rows: list[int]):
 
 def _three_descendant_violation_rows(rows: list[int]):
     """First member, in (lo, hi) order, with exactly 3 direct descendants,
-    as ``(member, children)``; None when there is none."""
-    return next(((v, tuple(kids)) for v, kids in _inner_members(rows)
-                 if len(kids) == 3), None)
+    as ``(member, children)``; None when there is none.  Each child starts
+    at its own position, so only members of three or more values are read,
+    whether or not the singletons are members."""
+    for lo in range(1, len(rows) - 2):
+        his = rows[lo] >> lo + 2 << lo + 2
+        while his:
+            hi = (his & -his).bit_length() - 1
+            his &= his - 1
+            kids = _children(rows, lo, hi)
+            if len(kids) == 3:
+                return (lo, hi), tuple(kids)
+    return None
 
 
 def validate_interval_family(intervals: Iterable[tuple[int, int]],

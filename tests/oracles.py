@@ -2,9 +2,10 @@
 
 Each oracle recomputes a quantity by a deliberately different route than
 the implementation under test: intervals by scanning value ranges instead
-of position windows, sum intervals by explicit window splitting, face
-emptiness by geometric segment-vs-hull tests on the unit circle and by the
-arc rule tested vertex tuple by vertex tuple, framedness and crossings by
+of position windows, a family's bitmask by the per-row join that the
+digit-per-bit build replaced, sum intervals by explicit window splitting,
+face emptiness by geometric segment-vs-hull tests on the unit circle and by
+the arc rule tested vertex tuple by vertex tuple, framedness and crossings by
 pairwise chord tests instead of the polygon module's per-m bitmask table,
 the faces of a non-crossing dissection by splitting the polygon on its
 diagonals instead of reading Hasse children, class enumeration by naive
@@ -68,6 +69,26 @@ def oracle_intervals(entries) -> set[tuple[int, int]]:
             if max(ps) - min(ps) == hi - lo:
                 out.add((lo, hi))
     return out
+
+
+def oracle_mask_of(intervals, n: int) -> int:
+    """``poset._mask_of`` by the row join it replaced: one row of maxima
+    per minimum, then the rows shifted into place one by one (each shift
+    copies the whole mask)."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    rows, bad = [0] * (n + 1), []
+    for lo, hi in intervals:
+        if 1 <= lo <= hi <= n:
+            rows[lo] |= 1 << hi
+        else:
+            bad.append((lo, hi))
+    if bad:
+        raise ValueError(f"interval {min(bad)} out of range for n={n}")
+    mask = 0
+    for row in reversed(rows):
+        mask = mask << n + 1 | row
+    return mask
 
 
 def oracle_has_sum_interval(entries, parts: int) -> bool:

@@ -38,7 +38,7 @@ from polyposet import (
 
 import polyposet.census as census
 from polyposet import bijection, polygon
-from polyposet.perm import is_simple
+from polyposet.perm import _intervals_of_entries, is_simple
 from polyposet.poset import _family_of_mask, _trivial_mask
 import oracles
 from oracles import oracle_check_identities, oracle_check_images, \
@@ -567,9 +567,9 @@ def test_realize_deep_decomposition_tree():
     n = 1000
     entries = tuple(itertools.chain.from_iterable(
         zip(range(1, n // 2 + 1), range(n, n // 2, -1))))
-    fam = census._intervals_of_entries(entries)
+    fam = _intervals_of_entries(entries)
     wit = realize(fam, n, cap=n)
-    assert census._intervals_of_entries(wit.entries) == fam
+    assert _intervals_of_entries(wit.entries) == fam
     assert wit.entries <= entries
 
 

@@ -2,16 +2,17 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyposet import census, poset
 from polyposet.census import Family, poset_census
-from polyposet.perm import Permutation, all_intervals, is_simple, \
-    parse_permutation
+from polyposet.perm import Permutation, _iter_blocks, all_intervals, \
+    is_simple, parse_permutation
 from polyposet.poset import (ElementNotInPoset, IntervalPoset,
                              _closure_violation_rows, _family_of_mask,
-                             _is_laminar_rows, _mask_of, _node, _rows,
+                             _is_laminar_rows, _mask_of, _mask_of_entries,
+                             _node, _rows,
                              _three_descendant_violation_rows, canonical_key,
                              children_histogram, format_interval,
                              hasse_children, hasse_edges, is_tree,
@@ -21,7 +22,8 @@ from polyposet.poset import (ElementNotInPoset, IntervalPoset,
 from oracles import _closure_violation, _is_laminar, \
     _three_descendant_violation, oracle_children, \
     oracle_decomposition_children, oracle_is_tree, \
-    oracle_three_descendant_violation, oracle_validate_interval_family
+    oracle_intervals, oracle_mask_of, oracle_three_descendant_violation, \
+    oracle_validate_interval_family
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
@@ -118,6 +120,49 @@ def test_poset_holds_its_family_bitmask():
     P = poset_of(parse_permutation("2413"))
     assert P.mask == _mask_of(P.intervals, 4)
     assert P == IntervalPoset(4, set(P.intervals)) and "mask" not in repr(P)
+
+
+def test_permutation_mask_matches_its_blocks_on_every_small_permutation():
+    """On all 5,913 permutations of orders 1..7, the mask set in the window
+    loop is the mask of the ``_iter_blocks`` intervals and of the
+    value-side oracle's."""
+    for n in range(1, 8):
+        for entries in itertools.permutations(range(1, n + 1)):
+            blocks = {(lo, hi) for _, _, lo, hi in _iter_blocks(entries)}
+            assert _mask_of_entries(entries) == _mask_of(blocks, n) \
+                == _mask_of(oracle_intervals(entries), n), entries
+
+
+@st.composite
+def interval_lists(draw):
+    """An order of 0..8 and a list of integer pairs, repeats allowed; one
+    time in three (and always at order 0) a pair may be reversed or lie
+    outside 1..n."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    if n == 0 or draw(st.integers(min_value=0, max_value=2)) == 2:
+        ends = st.integers(min_value=-1, max_value=n + 2)
+        pairs = st.tuples(ends, ends)
+    else:
+        ends = st.integers(min_value=1, max_value=n)
+        pairs = st.tuples(ends, ends).map(lambda v: tuple(sorted(v)))
+    return n, draw(st.lists(pairs, max_size=40))
+
+
+@settings(max_examples=300)
+@given(interval_lists())
+@example((3, [(1, 1), (3, 2), (2, 7)]))
+@example((3, [(1, 3), (0, 1), (3, 2)]))
+@example((0, []))
+def test_mask_of_matches_the_row_join(case):
+    n, intervals = case
+    try:
+        want = oracle_mask_of(intervals, n)
+    except ValueError as error:
+        with pytest.raises(ValueError) as got:
+            _mask_of(intervals, n)
+        assert str(got.value) == str(error)
+    else:
+        assert _mask_of(intervals, n) == want
 
 
 def test_long_permutations_are_checked_without_per_order_tables():
@@ -269,6 +314,28 @@ def test_tree_test_and_children_match_oracles_off_posets(P):
     assert hasse_edges(P) == [(v, c) for v, cs in kids.items() for c in cs]
     sizes = Counter(len(cs) for cs in kids.values())
     assert children_histogram(P) == dict(sorted(sizes.items()))
+
+
+@st.composite
+def families_with_optional_singletons(draw):
+    """Any members of an order up to 8, with every singleton added or every
+    singleton removed; (1, n) is a member only when drawn."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    every = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    family = draw(st.frozensets(st.sampled_from(every)))
+    singletons = {(i, i) for i in range(1, n + 1)}
+    if draw(st.booleans()):
+        return n, family | singletons
+    return n, family - singletons
+
+
+@settings(max_examples=300)
+@given(families_with_optional_singletons())
+@example((6, frozenset({(1, 2), (3, 4), (5, 6), (1, 6)})))
+def test_three_descendants_match_the_oracle_with_or_without_singletons(case):
+    n, family = case
+    assert _three_descendant_violation_rows(_rows(_mask_of(family, n), n)) \
+        == oracle_three_descendant_violation(family)
 
 
 def _assert_mask_checks_match_tuple_oracles(family, n):
