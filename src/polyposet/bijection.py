@@ -13,7 +13,7 @@ import dataclasses
 
 # empty_faces and is_diagonally_framed stay importable here for the
 # benchmark's bijection.empty_faces and bijection.is_diagonally_framed hooks
-from .polygon import (Dissection, _read, _table,  # noqa: F401
+from .polygon import (Dissection, _read,  # noqa: F401
                       empty_faces, is_diagonally_framed)
 from .poset import IntervalPoset
 
@@ -72,14 +72,13 @@ def classify_image(P: IntervalPoset) -> ImageClassification:
     All four are reported exactly as computed — in particular the bare
     triangle at n = 2 counts as an empty triangular face.  They are read
     from P's family bitmask, whose trivial intervals hold no diagonal bit,
-    with no dissection built.
+    by one ``polygon._read``, with no dissection built.
     """
     if P.n < 2:
         raise ValueError("classification needs n >= 2 (the 2-gon has no predicates)")
-    table = _table(P.n + 1)
-    empty, crossing, unframed = _read(P.mask, P.n + 1)
+    quads, triangles, crossing, unframed = _read(P.mask, P.n + 1)
     return ImageClassification(
         diagonally_framed=not unframed,
-        quad_free=not empty & table.quads,
+        quad_free=not quads,
         noncrossing=not crossing,
-        triangle_free=not empty & table.triangles)
+        triangle_free=not triangles)

@@ -14,13 +14,15 @@ closed arc between consecutive face vertices).
 ``Dissection.mask`` is ``poset``'s family mask of the intervals [u, v-1]
 of the diagonals {u, v}, so a family's mask and its chord image's mask
 share their diagonal bits.  The predicates read one table per m, built on
-first use and keyed by those bits, in one walk over its rows per call;
-the faces of a non-crossing dissection are read from the family's Hasse
-children instead.  Class membership is decided here alone, by
-``_in_class`` on a mask: ``satisfies_class`` asks it on a dissection, and
-``census`` on a family's mask, whose trivial bits are no row's bit.  The
-per-call originals of the predicates are kept as the reference in
-``tests/oracles.py``.
+first use and keyed by those bits, in one walk over its rows per call.
+It numbers each 3- and 4-subset of the vertices once, a 4-subset being
+at once a face, a crossing pair and that pair's frame (see ``_Table``),
+and only this module reads it.  The faces of a non-crossing dissection
+are read from the family's Hasse children instead.  Class membership is decided here
+alone, by ``_in_class`` on a mask: ``satisfies_class`` asks it on a
+dissection, and ``census`` on a family's mask, whose trivial bits are no
+row's bit.  The per-call originals of the predicates are kept as the
+reference in ``tests/oracles.py``.
 
 Enumeration is exhaustive and deterministic, and every class is built face
 by face, without the table, each member as its ``Dissection.mask``; only
@@ -120,88 +122,81 @@ def chords_cross(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class _Table:
-    """The 4-faces, 3-faces and crossing pairs of one m-gon, numbered in
-    that order as ``items`` (faces as ascending vertex tuples, pairs as
-    two diagonals, each kind lexicographically); ``quads``, ``triangles``
-    and ``pairs`` mask each kind's numbers.  ``rows`` holds per diagonal
-    {u, v}, lexicographically, its ``Dissection.mask`` bit, that of the
-    interval [u, v-1], and the masks of the numbers of the faces it is a
-    side of or the pairs it is in, of the faces it enters, and of the pairs
-    it frames.
+    """The faces of one m-gon: ``faces`` numbers each 4-subset and then
+    each 3-subset of its vertices once, as ascending tuples, each size
+    lexicographically, and ``quads`` and ``triangles`` mask each size's
+    numbers.  A 4-subset (a, b, c, d) is at once a quadrilateral face, the
+    crossing pair {a, c}, {b, d} and that pair's frame, the face's four
+    sides.  ``rows`` holds per diagonal {u, v}, lexicographically, its
+    ``Dissection.mask`` bit, that of the interval [u, v-1], and the masks
+    of the numbers of the faces it is a side of, of the faces it enters,
+    and of the 4-faces whose crossing pair holds it.
     """
 
-    items: tuple[tuple, ...]
+    faces: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, int, int, int], ...]
     quads: int
     triangles: int
-    pairs: int
 
 
 @functools.lru_cache(maxsize=None)
 def _table(m: int) -> _Table:
-    def ring(vertices):  # the sides of the polygon on ascending vertices
-        return {*zip(vertices, vertices[1:]), (vertices[0], vertices[-1])}
-
-    def enters(face: tuple[int, ...], x: int, y: int) -> bool:
-        return (any(x < f < y for f in face)
-                and any(f < x or f > y for f in face))
-
     def numbers(flags) -> int:
         return sum(1 << k for k, flag in enumerate(flags) if flag)
 
-    diags = all_diagonals(m)
-    faces = [face for k in (4, 3)
-             for face in itertools.combinations(range(1, m + 1), k)]
-    pairs = [(c, d) for c, d in itertools.combinations(diags, 2)
-             if chords_cross(c, d)]
-    sides = [ring(face) for face in faces] + [set(pair) for pair in pairs]
-    frames = [ring(sorted(c + d)) for c, d in pairs]
+    quads = list(itertools.combinations(range(1, m + 1), 4))
+    faces = quads + list(itertools.combinations(range(1, m + 1), 3))
+    sides = [{*zip(face, face[1:]), (face[0], face[-1])} for face in faces]
     rows = tuple((_mask_of([(u, v - 1)], m - 1),
                   numbers((u, v) in s for s in sides),
-                  numbers(enters(face, u, v) for face in faces),
-                  numbers((u, v) in s for s in frames) << len(faces))
-                 for u, v in diags)
-    return _Table(tuple(faces + pairs), rows,
-                  numbers(len(face) == 4 for face in faces),
-                  numbers(len(face) == 3 for face in faces),
-                  (1 << len(sides)) - (1 << len(faces)))
+                  numbers(any(u < f < v for f in face)
+                          and any(f < u or f > v for f in face)
+                          for face in faces),
+                  numbers((u, v) in ((a, c), (b, d))
+                          for a, b, c, d in quads))
+                 for u, v in all_diagonals(m))
+    return _Table(tuple(faces), rows, (1 << len(quads)) - 1,
+                  (1 << len(faces)) - (1 << len(quads)))
 
 
-def _read(mask: int, m: int) -> tuple[int, int, int]:
-    """The numbers in ``_table(m)`` of the empty faces, the crossing pairs
-    and the crossing pairs missing a frame chord of the m-gon whose
-    diagonals are the bits of ``mask`` that are rows' bits; other bits are
-    ignored.  An item is open when a side or member of it is missing; a
-    face is empty when it is neither open nor entered by a present
-    diagonal, and a pair crosses when it is not open."""
+def _read(mask: int, m: int) -> tuple[int, int, int, int]:
+    """The numbers in ``_table(m)`` of the empty 4-faces, the empty
+    3-faces, the crossing 4-faces and the crossing 4-faces missing a side
+    of the m-gon whose diagonals are the bits of ``mask`` that are rows'
+    bits; other bits are ignored.  A face is open when a side of it is
+    missing and empty when it is neither open nor entered by a present
+    diagonal; a 4-face crosses when both chords of its crossing pair are
+    present, and is then unframed when it is open."""
     table = _table(m)
-    opened = entered = unframed = 0
-    for bit, sides, pens, frames in table.rows:
+    opened = entered = uncrossed = 0
+    for bit, sides, pens, crosses in table.rows:
         if mask & bit:
             entered |= pens
         else:
             opened |= sides
-            unframed |= frames
-    crossing = table.pairs & ~opened
-    return ((table.quads | table.triangles) & ~(opened | entered),
-            crossing, unframed & crossing)
+            uncrossed |= crosses
+    empty = ~(opened | entered)
+    crossing = table.quads & ~uncrossed
+    return (table.quads & empty, table.triangles & empty, crossing,
+            crossing & opened)
 
 
 def crossing_pairs(D: Dissection) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All crossing diagonal pairs, each oriented so the pair reads
     ({p, q}, {r, s}) with p < r < q < s, in lexicographic order."""
-    items = _table(D.m).items
-    return [items[i] for i in _bits(_read(D.mask, D.m)[1])]
+    faces = _table(D.m).faces
+    return sorted(((a, c), (b, d)) for a, b, c, d in
+                  (faces[i] for i in _bits(_read(D.mask, D.m)[2])))
 
 
 def is_noncrossing(D: Dissection) -> bool:
-    return not _read(D.mask, D.m)[1]
+    return not _read(D.mask, D.m)[2]
 
 
 def is_diagonally_framed(D: Dissection) -> bool:
     """Every crossing pair {x1,x3}, {x2,x4} (x1<x2<x3<x4) must have all of
     {x1,x2}, {x2,x3}, {x3,x4}, {x1,x4} present as diagonals or outer edges."""
-    return not _read(D.mask, D.m)[2]
+    return not _read(D.mask, D.m)[3]
 
 
 def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
@@ -216,9 +211,8 @@ def empty_faces(D: Dissection, k: int) -> list[tuple[int, ...]]:
     """
     if k not in (3, 4):
         raise ValueError(f"face size must be 3 or 4, got {k}")
-    table = _table(D.m)
-    kind = table.quads if k == 4 else table.triangles
-    return [table.items[i] for i in _bits(_read(D.mask, D.m)[0] & kind)]
+    faces = _table(D.m).faces
+    return [faces[i] for i in _bits(_read(D.mask, D.m)[0 if k == 4 else 1])]
 
 
 def faces_of_noncrossing(D: Dissection) -> list[tuple[int, ...]]:
@@ -268,11 +262,9 @@ def _in_class(mask: int, m: int, clazz: DissectionClass) -> bool:
     ``mask`` that are ``_table(m)``'s row bits; other bits are ignored, so
     an interval family's mask asks for its chord image at m = n + 1."""
     noncrossing, tri_free = _class_flags(clazz)
-    faces, crossing, unframed = _read(mask, m)
-    table = _table(m)
-    return (not (crossing if noncrossing else unframed)
-            and not faces & table.quads
-            and not (tri_free and m > 3 and faces & table.triangles))
+    quads, triangles, crossing, unframed = _read(mask, m)
+    return (not (crossing if noncrossing else unframed) and not quads
+            and not (tri_free and m > 3 and triangles))
 
 
 def check_dissection_cap(m: int, clazz: DissectionClass,

@@ -493,9 +493,10 @@ def oracle_check_identities(n: int,
 
 def oracle_classify_image(P: IntervalPoset) -> ImageClassification:
     """``classify_image`` by building the dissection ``phi(P)`` and asking
-    ``polygon``'s predicates, each a pass over that polygon's own table, as
-    the library did before it read the image predicates from the family
-    bitmask (n >= 2)."""
+    ``polygon``'s public predicates on it (n >= 2), so the flags read off
+    the family bitmask are checked against those of a built dissection.
+    The per-call oracles check ``classify_image`` itself, flag by flag, in
+    ``tests/test_polygon.py``."""
     D = phi(P)
     return ImageClassification(
         diagonally_framed=is_diagonally_framed(D),

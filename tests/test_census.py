@@ -704,7 +704,7 @@ def test_check_images_matches_whole_permutation_walk():
 
 
 def _triangle_free(mask: int, m: int) -> bool:
-    return not polygon._read(mask, m)[0] & polygon._table(m).triangles
+    return not polygon._read(mask, m)[1]
 
 
 # class rules that are wrong on some images but not on the first one, so

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyposet.bijection import (ImageClassification, classify_image,
+                                 phi_inverse)
 from polyposet.census import Family, distinct_posets, load_bfile
 from polyposet.polygon import (CapExceeded, Dissection, DissectionClass,
                                all_diagonals, chords_cross, crossing_pairs,
@@ -165,10 +167,19 @@ def test_noncrossing_faces_are_the_empty_faces(D):
 
 
 def assert_table_matches_oracles(D):
-    for k in (3, 4):
-        assert empty_faces(D, k) == oracle_arc_empty_faces(D, k), (D, k)
-    assert is_diagonally_framed(D) == oracle_is_diagonally_framed(D), D
-    assert is_noncrossing(D) == oracle_is_noncrossing(D), D
+    # each oracle runs once and checks both the public predicates and the
+    # image flags of the pulled-back family, read off its bitmask
+    framed = oracle_is_diagonally_framed(D)
+    noncrossing = oracle_is_noncrossing(D)
+    quads, triangles = (oracle_arc_empty_faces(D, k) for k in (4, 3))
+    assert empty_faces(D, 4) == quads, D
+    assert empty_faces(D, 3) == triangles, D
+    assert is_diagonally_framed(D) == framed, D
+    assert is_noncrossing(D) == noncrossing, D
+    if D.m >= 3:
+        assert classify_image(phi_inverse(D)) == ImageClassification(
+            diagonally_framed=framed, quad_free=not quads,
+            noncrossing=noncrossing, triangle_free=not triangles), D
     assert crossing_pairs(D) == oracle_crossing_pairs(D), D
     for clazz in DissectionClass:
         assert satisfies_class(D, clazz) == oracle_satisfies_class(D, clazz)
