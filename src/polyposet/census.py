@@ -14,10 +14,7 @@ permutations with p_1 < p_n are completed.  ``_scan`` keeps its last scan,
 so ``check_identities`` and the all and tree image checks of one order, run
 one after another as ``verify`` runs them, share one scan of S_n; the
 block-wise check reads its own pruned scan.  The kept dict is shared, and
-callers only read it.  Above a per-route order the scan splits by first
-entry over one worker per CPU, and the merge keeps the first representative
-of each key in first-entry order, so results do not depend on the worker
-count.
+callers only read it.
 """
 from __future__ import annotations
 
@@ -25,8 +22,6 @@ import dataclasses
 import enum
 import functools
 import json
-import multiprocessing
-import os
 import time
 from typing import IO, Iterable
 
@@ -59,14 +54,6 @@ DEFAULT_POSET_CAPS = {
     Family.BLOCKWISE_SIMPLE: 10,
 }
 
-# highest order scanned serially whatever the CPU count, for the scan of all
-# permutations (False) and the block-wise scan (True): above it a pool wins
-# when a second CPU is free (2-CPU Xeon, medians in one warm process: all
-# S_8 0.199 s serial against 0.133 s pooled, block-wise S_9 0.051 s against
-# 0.055 s and S_10 0.217 s against 0.151 s), though on a busy host serial
-# all S_8 is faster.
-_SERIAL_THROUGH = {False: 7, True: 9}
-
 PAIRED_CLASS = {
     Family.ALL: DissectionClass.FRAMED_QUAD_FREE,
     Family.TREE: DissectionClass.NONCROSSING_QUAD_FREE,
@@ -83,10 +70,11 @@ REALIZE_CAP = 8
 IDENTITY_CAP = 8
 
 
-def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
-    """``mask << 1 | triple`` -> least permutation of 1..n starting with
-    ``first`` and ending above it, block-wise simple if ``blockwise``
-    (whose ``triple`` is always 0).
+def _scan_block(n: int, blockwise: bool) -> dict[int, tuple[int, ...]]:
+    """``mask << 1 | triple`` -> least permutation of 1..n with that key,
+    block-wise simple if ``blockwise`` (whose ``triple`` is always 0), in
+    the order of those permutations, which for n >= 2 end above their
+    first entry.
 
     A prefix DFS places values left to right in increasing order, so leaves
     arrive in lexicographic order and each key keeps its smallest
@@ -130,10 +118,15 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     - the blocks ending at k, which the next value reads, are the live
       ranges with no unplaced value.
 
-    Two prefixes in one state therefore complete to the same suffixes and
-    keys, and the first holds the least representative of each key it
-    reaches, so no key, representative or insertion order changes.  One
-    int holds the state: the mask, and above it one bit per live range.
+    Two prefixes in one state therefore pass the same tests on every
+    suffix, and one ``seen`` set serves the whole walk, across first
+    entries: the reverse prune below, the one test the state does not fix,
+    keeps the suffixes whose last value exceeds the first entry, and the
+    walk reaches a state first under the smaller or equal first entry, so
+    the first prefix admits every completion a later one does, always as
+    the smaller permutation.  No key, representative or insertion order
+    changes.  One int holds the state: the mask, and above it one bit per
+    live range.
 
     *Reverse prune.*  Only permutations with p_1 < p_n are completed
     (n >= 2), so a first entry of n yields nothing.  This loses no key and
@@ -143,7 +136,6 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
     two stacked either way.  So ``p`` and ``reverse(p)`` share a key, and
     when p_1 > p_n the reverse is the lexicographically smaller of the two.
     """
-    n, first, blockwise = args
     width = n + 1
     cells = width * width
     values = (1 << width) - 2
@@ -167,7 +159,7 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
                 found[key] = tuple(entries)
             return
         free = values & ~used
-        if not free >> first + 1:  # p_n < p_1: the reverse is scanned instead
+        if not free >> entries[0] + 1:  # p_n < p_1: the reverse is scanned
             return
         # values whose singleton continues a block ending at k - 1 upward
         # or downward (the adjacent +-1 pair is the smallest case)
@@ -235,10 +227,7 @@ def _scan_block(args: tuple[int, int, bool]) -> dict[int, tuple[int, ...]]:
                 downs[k + 1] = down_bits
                 extend(k + 1, grown, has_triple, used | bit, kept)
 
-    entries[0] = first
-    his[1] = los[1] = 1 << first
-    extend(1, 1 << (first * width + first), 0, 1 << first,
-           [(0, first, first)])
+    extend(0, 0, 0, 0, [])
     del extend  # it refers to itself; the cycle would keep the walk's state
     return found
 
@@ -250,27 +239,8 @@ def _scan(n: int, blockwise: bool) -> dict[int, tuple[int, ...]]:
     permutations.  The last scan is kept, so checks of one order that read
     the same scan one after another walk S_n once; the dict is shared, and
     callers only read it.
-
-    Orders above the route's serial cutoff split the scan by first entry
-    over a pool with one worker per CPU.  Each part is in lexicographic
-    order and the parts come in order of first entry, so keeping the first
-    representative of each key keeps the least one.  Each part completes
-    only the permutations with p_1 < p_n, which hold every key's least
-    permutation (see ``_scan_block``); for n >= 2 the part of first entry n
-    is empty.
     """
-    jobs = [(n, first, blockwise) for first in range(1, n + 1)]
-    threads = os.cpu_count() or 1
-    if threads <= 1 or n <= _SERIAL_THROUGH[blockwise]:
-        partials = [_scan_block(job) for job in jobs]
-    else:
-        with multiprocessing.Pool(min(threads, n)) as pool:
-            partials = pool.map(_scan_block, jobs)
-    found: dict[int, tuple[int, ...]] = {}
-    for part in partials:
-        for key, entries in part.items():
-            found.setdefault(key, entries)
-    return found
+    return _scan_block(n, blockwise)
 
 
 def _check_order(n: int, cap: int | None = None, name: str = "",

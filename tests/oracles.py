@@ -355,12 +355,12 @@ def oracle_poset_census(n: int, family: Family) -> dict[str, tuple[int, ...]]:
 
 def oracle_scan_block(args: tuple[int, int, bool],
                       keep=None) -> dict[int, tuple[int, ...]]:
-    """``census._scan_block`` before the reverse prune, and on the
-    block-wise route before the run prune and the skip of repeated prefix
-    states: the same prefix DFS, testing every window, completing every
-    permutation of its first entry, p_1 > p_n included.  ``keep``, if
-    given, is a test on a leaf's entries; a key is then represented by its
-    first leaf that passes it."""
+    """``census._scan_block``'s prefix DFS under one first entry, before
+    the reverse prune, and on the block-wise route before the run prune
+    and the skip of repeated prefix states: testing every window,
+    completing every permutation of its first entry, p_1 > p_n included.
+    ``keep``, if given, is a test on a leaf's entries; a key is then
+    represented by its first leaf that passes it."""
     n, first, blockwise = args
     width = n + 1
     entries = [0] * n
@@ -435,7 +435,7 @@ def oracle_scan_block(args: tuple[int, int, bool],
 
 def oracle_scan(n: int, blockwise: bool,
                 keep=None) -> dict[int, tuple[int, ...]]:
-    """``census._scan`` before the reverse prune, serially: the parts of
+    """``census._scan`` before the reverse prune: the parts of
     ``oracle_scan_block`` merged in order of first entry, keeping each
     key's first representative."""
     found: dict[int, tuple[int, ...]] = {}

@@ -4,6 +4,7 @@ import gc
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -136,49 +137,15 @@ def test_poset_caps():
     assert distinct_posets(9, Family.TREE, cap=9) == 4888
 
 
-@pytest.mark.parametrize("family, n", [(Family.ALL, 7), (Family.TREE, 7),
-                                       (Family.BLOCKWISE_SIMPLE, 9)],
-                         ids=lambda v: getattr(v, "value", str(v)))
-def test_census_is_thread_count_invariant(family, n, monkeypatch):
-    def run():
-        order = min(n, census.IDENTITY_CAP)
-        return (poset_census(n, family), distinct_posets(n, family),
-                check_identities(order),
-                [check_images(order, f) for f in (Family.ALL, Family.TREE)])
-
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
-    solo = run()
-    census._scan.cache_clear()  # the pooled run makes its own scans
-    # no serial cutoff and three CPUs: every scan above runs on a pool
-    real_pool, widths = census.multiprocessing.Pool, []
-
-    def spy_pool(width):
-        widths.append(width)
-        return real_pool(width)
-
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(census, "_SERIAL_THROUGH", {False: 0, True: 0})
-    monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
-    assert run() == solo
-    # one pool per real scan: the checks after the first read the kept
-    # scan, and block-wise n = 9 also scans all of S_8 for the checks
-    assert widths == ([3, 3] if family is Family.BLOCKWISE_SIMPLE else [3])
-
-
-@pytest.mark.parametrize(
-    "family, n",
-    [(f, census._SERIAL_THROUGH[f is Family.BLOCKWISE_SIMPLE]) for f in Family],
-    ids=lambda v: getattr(v, "value", str(v)))
-def test_census_at_the_serial_cutoff_starts_no_pool(family, n, monkeypatch):
+def test_census_starts_no_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
-    expected = poset_census(n, family)
-    census._scan.cache_clear()
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(census.multiprocessing, "Pool", no_pool)
-    assert poset_census(n, family) == expected
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    census._scan.cache_clear()  # a kept scan would hide a started pool
+    for family, n in ((Family.ALL, 8), (Family.TREE, 8),
+                      (Family.BLOCKWISE_SIMPLE, 10)):
+        assert poset_census(n, family), family
 
 
 @pytest.mark.parametrize("family, max_n", [(Family.ALL, 8), (Family.TREE, 8),
@@ -217,30 +184,13 @@ SCAN_ORDERS = [(False, n) for n in range(1, 9)] + \
     [(True, n) for n in range(1, 11)]
 
 
-def test_scan_matches_the_unpruned_scan_serial_and_pooled(monkeypatch):
+def test_scan_matches_the_unpruned_scan():
     # the reverse prune, and on the block-wise route the run prune and the
-    # skip of repeated prefix states, keep every key, representative and
-    # their order
-    expected = {(blockwise, n): list(oracle_scan(n, blockwise).items())
-                for blockwise, n in SCAN_ORDERS}
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 1)
+    # skip of repeated prefix states shared across first entries, keep
+    # every key, representative and their order
     for blockwise, n in SCAN_ORDERS:
         assert list(census._scan(n, blockwise).items()) \
-            == expected[blockwise, n], ("serial", blockwise, n)
-    census._scan.cache_clear()
-    real_pool, pools = census.multiprocessing.Pool, []
-
-    def spy_pool(width):
-        pools.append(width)
-        return real_pool(width)
-
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(census, "_SERIAL_THROUGH", {False: 0, True: 0})
-    monkeypatch.setattr(census.multiprocessing, "Pool", spy_pool)
-    for blockwise, n in SCAN_ORDERS:
-        assert list(census._scan(n, blockwise).items()) \
-            == expected[blockwise, n], ("pooled", blockwise, n)
-    assert pools == [min(3, n) for _, n in SCAN_ORDERS]
+            == list(oracle_scan(n, blockwise).items()), (blockwise, n)
 
 
 def test_finished_prefix_searches_leave_no_cyclic_garbage():
@@ -252,7 +202,7 @@ def test_finished_prefix_searches_leave_no_cyclic_garbage():
     try:
         gc.collect()
         for blockwise, n in ((False, 7), (True, 9)):
-            census._scan_block((n, 2, blockwise))
+            census._scan_block(n, blockwise)
             assert gc.collect() == 0, ("_scan_block", blockwise, n)
         for n in (3, 8):  # no simple permutation of order 3
             census._search(_trivial_mask(n), n)
@@ -284,13 +234,13 @@ def test_a_prune_on_the_wrong_side_changes_every_representative():
                        for key, entries in right.items()), (blockwise, n)
 
 
-def test_a_scan_starting_with_its_largest_value_is_empty():
+def test_every_scanned_representative_ends_above_its_first_entry():
     for blockwise in (False, True):
-        for n in range(2, 7):
-            assert census._scan_block((n, n, blockwise)) == {}, (blockwise, n)
+        for n in range(2, 8):
+            for entries in census._scan_block(n, blockwise).values():
+                assert entries[0] < entries[-1], (blockwise, entries)
         # order 1: the one permutation is its own reverse
-        assert census._scan_block((1, 1, blockwise)) == \
-            {_bit(1, 1, 1) << 1: (1,)}
+        assert census._scan_block(1, blockwise) == {_bit(1, 1, 1) << 1: (1,)}
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +618,10 @@ def test_simple_share_poset_fails_on_a_scan_dropping_a_trivial_bit(
     # passed
     real_block = census._scan_block
 
-    def broken_block(args):
+    def broken_block(n, blockwise):
         return {key & ~(_bit(1, 4, 4) << 1) if entries == (2, 4, 1, 3)
-                else key: entries for key, entries in real_block(args).items()}
+                else key: entries
+                for key, entries in real_block(n, blockwise).items()}
 
     monkeypatch.setattr(census, "_scan_block", broken_block)
     checks = {c.name: c for c in check_identities(4)}
@@ -737,7 +688,7 @@ def test_check_images_builds_no_image_classification(monkeypatch):
 
 
 def test_order_and_cap_are_checked_before_the_walk_is_read(monkeypatch):
-    def no_scan(args):
+    def no_scan(n, blockwise):
         raise AssertionError("a scan was started")
 
     monkeypatch.setattr(census, "_scan_block", no_scan)
@@ -756,11 +707,9 @@ def _count_real_scans(monkeypatch) -> dict:
     """Spy on ``_scan_block``: (n, blockwise) -> real scans started."""
     real_block, scans = census._scan_block, {}
 
-    def spy_block(args):
-        n, first, blockwise = args
-        if first == 1:  # one real scan of (n, blockwise) starts here
-            scans[n, blockwise] = scans.get((n, blockwise), 0) + 1
-        return real_block(args)
+    def spy_block(n, blockwise):
+        scans[n, blockwise] = scans.get((n, blockwise), 0) + 1
+        return real_block(n, blockwise)
 
     monkeypatch.setattr(census, "_scan_block", spy_block)
     return scans

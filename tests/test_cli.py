@@ -365,11 +365,9 @@ def test_verify(capsys):
 def test_verify_walks_each_order_once(capsys, monkeypatch):
     real_block, scans = census._scan_block, Counter()
 
-    def spy_block(args):
-        n, first, blockwise = args
-        if first == 1:  # one real scan of (n, blockwise) starts here
-            scans[n, blockwise] += 1
-        return real_block(args)
+    def spy_block(n, blockwise):
+        scans[n, blockwise] += 1
+        return real_block(n, blockwise)
 
     monkeypatch.setattr(census, "_scan_block", spy_block)
     # one walk of S_n for the identity, all and tree checks, one pruned
