@@ -137,15 +137,16 @@ def test_poset_caps():
     assert distinct_posets(9, Family.TREE, cap=9) == 4888
 
 
-def test_census_starts_no_process(monkeypatch):
+@pytest.mark.parametrize("family, n", [(Family.ALL, 8), (Family.TREE, 8),
+                                       (Family.BLOCKWISE_SIMPLE, 10)],
+                         ids=lambda v: getattr(v, "value", str(v)))
+def test_census_starts_no_process(family, n, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     census._scan.cache_clear()  # a kept scan would hide a started pool
-    for family, n in ((Family.ALL, 8), (Family.TREE, 8),
-                      (Family.BLOCKWISE_SIMPLE, 10)):
-        assert poset_census(n, family), family
+    assert poset_census(n, family)
 
 
 @pytest.mark.parametrize("family, max_n", [(Family.ALL, 8), (Family.TREE, 8),
@@ -234,13 +235,26 @@ def test_a_prune_on_the_wrong_side_changes_every_representative():
                        for key, entries in right.items()), (blockwise, n)
 
 
-def test_every_scanned_representative_ends_above_its_first_entry():
-    for blockwise in (False, True):
-        for n in range(2, 8):
-            for entries in census._scan_block(n, blockwise).values():
-                assert entries[0] < entries[-1], (blockwise, entries)
-        # order 1: the one permutation is its own reverse
-        assert census._scan_block(1, blockwise) == {_bit(1, 1, 1) << 1: (1,)}
+@pytest.mark.parametrize("blockwise", [False, True],
+                         ids=["all", "blockwise"])
+def test_every_scanned_representative_ends_above_its_first_entry(blockwise):
+    for n in range(2, 8):
+        for entries in census._scan_block(n, blockwise).values():
+            assert entries[0] < entries[-1], (blockwise, entries)
+    # order 1: the one permutation is its own reverse
+    assert census._scan_block(1, blockwise) == {_bit(1, 1, 1) << 1: (1,)}
+
+
+@pytest.mark.parametrize("blockwise, max_n", [(False, 8), (True, 11)],
+                         ids=["all", "blockwise"])
+def test_one_walk_yields_representatives_in_lexicographic_order(blockwise,
+                                                                 max_n):
+    # the premise of sharing one seen set across first entries: the walk
+    # meets prefixes, and so the leaves it keeps, in lexicographic order;
+    # block-wise n = 11 lies past the orders the oracle compares
+    for n in range(1, max_n + 1):
+        kept = list(census._scan_block(n, blockwise).values())
+        assert kept == sorted(kept), (blockwise, n)
 
 
 # ---------------------------------------------------------------------------
